@@ -73,12 +73,6 @@ pub struct RunScratch {
     template: Option<DeviceMemory>,
     spare: Option<DeviceMemory>,
     spare_caches: Option<CacheHierarchy>,
-    /// When the spare memory's written flags mirror a [`WarmState`]'s
-    /// (identified by its unique generation), a fork can restore only
-    /// the buffers either side has written since that sync instead of
-    /// every buffer. Cleared whenever the spare is filled from anything
-    /// other than that warm state.
-    spare_origin: Option<u64>,
 }
 
 impl RunScratch {
@@ -104,21 +98,13 @@ impl RunScratch {
     /// An owned memory image equal to the template, reusing the spare
     /// allocation from the previous run when available.
     fn image_of_template(&mut self) -> DeviceMemory {
-        self.spare_origin = None;
-        let RunScratch {
-            template, spare, ..
-        } = self;
-        let t = template.as_ref().expect("ensure_template ran");
-        Self::fill(spare, t)
-    }
-
-    fn fill(spare: &mut Option<DeviceMemory>, src: &DeviceMemory) -> DeviceMemory {
-        match spare.take() {
+        let t = self.template.as_ref().expect("ensure_template ran");
+        match self.spare.take() {
             Some(mut m) => {
-                m.restore_from(src);
+                m.restore_from(t);
                 m
             }
-            None => src.clone(),
+            None => t.clone(),
         }
     }
 
@@ -132,50 +118,6 @@ impl RunScratch {
             }
             None => src.clone(),
         }
-    }
-}
-
-/// Restored-and-advanced golden machine state shared by a bucket of
-/// injections whose strikes resume from the same snapshot.
-///
-/// Built once per bucket by [`Engine::warm_restore`], rolled forward
-/// tile by tile with [`Engine::warm_advance`], and forked (copied into
-/// the scratch spares, never mutated) per strike by
-/// [`Engine::run_forked`]. Because golden execution is deterministic,
-/// the warm state at tile `t` is bit-equal to the state a per-injection
-/// snapshot resume would rebuild at `t` — which is what makes forked
-/// runs bit-identical to unbatched differential runs.
-#[derive(Debug)]
-pub struct WarmState {
-    mem: DeviceMemory,
-    caches: CacheHierarchy,
-    counters: MachineCounters,
-    l2_resident_samples: f64,
-    next_tile: usize,
-    resume_tile: usize,
-    /// Unique id for the dirty-only fork restore (see
-    /// [`RunScratch::spare_origin`]). `mem`'s write tracking is reset
-    /// when the state is built, so its written flags name exactly the
-    /// buffers golden advancement has touched since.
-    gen: u64,
-}
-
-/// Source of [`WarmState::gen`] values; never reused, so a scratch's
-/// `spare_origin` can only ever match the warm state it last synced to.
-static NEXT_WARM_GEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-impl WarmState {
-    /// The snapshot tile this state was restored from (the bucket key).
-    #[must_use]
-    pub fn resume_tile(&self) -> usize {
-        self.resume_tile
-    }
-
-    /// The next tile golden execution would run; strikes at
-    /// `>= next_tile` can fork from this state as-is.
-    #[must_use]
-    pub fn next_tile(&self) -> usize {
-        self.next_tile
     }
 }
 
@@ -256,7 +198,7 @@ impl Engine {
 
     /// Like [`Engine::golden`], but additionally captures golden-prefix
     /// machine snapshots per `policy` for later differential injection
-    /// runs (see [`Engine::run_from`]). The returned outcome is
+    /// runs (see [`Engine::run_injection`]). The returned outcome is
     /// bit-identical to a plain golden run; the [`SnapshotSet`] is empty
     /// when the program is not [`TiledProgram::resumable`] or the byte
     /// budget admits no snapshot.
@@ -323,88 +265,17 @@ impl Engine {
             .0)
     }
 
-    /// Like [`Engine::run`], but also collects a per-tile
-    /// [`ExecutionTrace`]. The trace is what joins a strike to the tiles
-    /// that touched struck state afterwards (fault provenance); tracing
-    /// never consults the RNG, so a traced run resolves the strike — and
-    /// produces the output — exactly as the untraced run would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::StrikeOutOfRange`] if the strike instant is
-    /// past the last tile, and propagates program errors.
-    pub fn run_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut trace = ExecutionTrace::new();
-        let (outcome, _) = self.run_internal(
-            program,
-            RunRequest::plain(std::slice::from_ref(strike)),
-            rng,
-            Some(&mut trace),
-        )?;
-        Ok((outcome, trace))
-    }
-
-    /// Differential variant of [`Engine::run`]: resumes from the nearest
-    /// snapshot in `snapshots` at or before `strike.at_tile` instead of
-    /// tile 0. Output, `resolutions` and profile are bit-identical to a
-    /// full run (the strike consumes the RNG identically), and the
-    /// outcome carries the dirty output region for sparse comparison.
-    /// Falls back to a full run when the program is not resumable or no
-    /// usable snapshot exists.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_from<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        snapshots: &SnapshotSet,
-    ) -> Result<RunOutcome, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut scratch = RunScratch::new();
-        self.run_injection(program, strike, rng, Some(snapshots), &mut scratch)
-    }
-
-    /// [`Engine::run_from`] with a per-tile [`ExecutionTrace`]. A
-    /// resumed trace covers only the tiles from the resume point on —
-    /// exactly the tiles a strike at or after that point can touch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run`].
-    pub fn run_from_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        snapshots: &SnapshotSet,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut scratch = RunScratch::new();
-        self.run_injection_traced(program, strike, rng, Some(snapshots), &mut scratch)
-    }
-
     /// The campaign-facing injection entry point: differential when
     /// `snapshots` provides a usable resume point, full otherwise, with
     /// `scratch` amortizing setup and memory allocation across repeated
     /// calls for the same program.
+    ///
+    /// A differential run resumes from the nearest snapshot at or before
+    /// `strike.at_tile` instead of tile 0. Output, `resolutions` and
+    /// profile are bit-identical to [`Engine::run`] (the strike consumes
+    /// the RNG identically), and the outcome carries the dirty output
+    /// region for sparse comparison. Programs that are not resumable, or
+    /// strikes before the first snapshot, run in full.
     ///
     /// # Errors
     ///
@@ -429,7 +300,12 @@ impl Engine {
         Ok(self.run_internal(program, req, rng, None)?.0)
     }
 
-    /// [`Engine::run_injection`] with a per-tile [`ExecutionTrace`].
+    /// [`Engine::run_injection`] with a per-tile [`ExecutionTrace`]. The
+    /// trace is what joins a strike to the tiles that touched struck
+    /// state afterwards (fault provenance). Tracing never consults the
+    /// RNG, so the strike resolves, and the output comes out, exactly as
+    /// untraced. A resumed trace covers only the tiles from the resume
+    /// point on: exactly the tiles a strike at or after it can touch.
     ///
     /// # Errors
     ///
@@ -482,175 +358,6 @@ impl Engine {
             .0)
     }
 
-    /// Restores the nearest snapshot at or before `tile` into an owned
-    /// [`WarmState`] — the batch scheduler's once-per-bucket restore.
-    /// `reuse` recycles a previous bucket's allocations (memory image,
-    /// cache tables) instead of cloning fresh ones. Returns `None` when
-    /// the program is not resumable or no snapshot covers `tile`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates program setup errors.
-    pub fn warm_restore<P>(
-        &self,
-        program: &mut P,
-        snapshots: &SnapshotSet,
-        tile: usize,
-        scratch: &mut RunScratch,
-        reuse: Option<WarmState>,
-    ) -> Result<Option<WarmState>, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-    {
-        if !program.resumable() {
-            return Ok(None);
-        }
-        let Some(snap) = snapshots.resume_point(tile) else {
-            return Ok(None);
-        };
-        scratch.ensure_template(program)?;
-        let template = scratch.template.as_ref().expect("ensure_template ran");
-        let (mut mem, caches) = match reuse {
-            Some(w) => {
-                let mut m = w.mem;
-                m.restore_from(template);
-                let mut c = w.caches;
-                c.restore_from(&snap.caches);
-                (m, c)
-            }
-            None => (template.clone(), snap.caches.clone()),
-        };
-        mem.apply_delta(&snap.mem_delta)?;
-        // Baseline for the dirty-only fork restore: from here on the
-        // written flags name the buffers golden advancement touches.
-        mem.reset_write_tracking();
-        Ok(Some(WarmState {
-            mem,
-            caches,
-            counters: snap.counters,
-            l2_resident_samples: snap.l2_resident_samples,
-            next_tile: snap.at_tile,
-            resume_tile: snap.at_tile,
-            gen: NEXT_WARM_GEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        }))
-    }
-
-    /// Rolls `warm` forward fault-free to `to_tile` (exclusive),
-    /// replaying the golden tiles in between — the shared prefix work a
-    /// bucket's strikes amortize. Returns how many tiles were executed
-    /// (`0` when already at or past `to_tile`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates program execution errors.
-    pub fn warm_advance<P>(
-        &self,
-        program: &mut P,
-        warm: &mut WarmState,
-        to_tile: usize,
-    ) -> Result<usize, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-    {
-        let tiles = program.tile_count();
-        let to_tile = to_tile.min(tiles);
-        if to_tile <= warm.next_tile {
-            return Ok(0);
-        }
-        let launch_tiles = program.tiles_per_launch().min(tiles).max(1);
-        let plan = DispatchPlan::new(
-            &self.cfg,
-            tiles,
-            launch_tiles,
-            program.threads_per_tile(),
-            program.local_mem_per_tile(),
-        );
-        let advanced = to_tile - warm.next_tile;
-        let prof = profiling_enabled();
-        for pos in warm.next_tile..to_tile {
-            let unit = plan.unit_of(pos);
-            let mut ctx = TileCtx::new(&mut warm.mem, &mut warm.caches, unit, TileFault::none());
-            {
-                let _scope = phase_if(prof, PhaseId::TileExecute);
-                program.execute_tile(TileId(pos), &mut ctx)?;
-            }
-            let c = ctx.drain_counters();
-            warm.counters.ops += c.ops;
-            warm.counters.trans_ops += c.trans_ops;
-            warm.counters.loads += c.loads;
-            warm.counters.stores += c.stores;
-            warm.l2_resident_samples += warm.caches.l2_resident_lines() as f64;
-        }
-        warm.next_tile = to_tile;
-        Ok(advanced)
-    }
-
-    /// Forks `warm` (copy into the scratch spares; `warm` itself is
-    /// untouched) and runs the suffix from `warm.next_tile()` under
-    /// `strike`. `bucket_spans` is the bucket's precomputed golden
-    /// suffix span union (`SnapshotSet::golden_spans_from` at the
-    /// bucket's resume tile); the returned dirty region is the run's own
-    /// store log union those spans — exactly what an unbatched
-    /// differential run would report.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::StrikeOutOfRange`] if the strike instant is past
-    /// the last tile or before `warm.next_tile()` (the fork would replay
-    /// past the delivery instant); propagates program errors.
-    pub fn run_forked<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        warm: &WarmState,
-        bucket_spans: &[(usize, usize)],
-        scratch: &mut RunScratch,
-    ) -> Result<RunOutcome, AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let req = RunRequest {
-            scratch: Some(scratch),
-            warm: Some(warm),
-            bucket_spans: Some(bucket_spans),
-            ..RunRequest::plain(std::slice::from_ref(strike))
-        };
-        Ok(self.run_internal(program, req, rng, None)?.0)
-    }
-
-    /// [`Engine::run_forked`] with a per-tile [`ExecutionTrace`]
-    /// covering the forked suffix — the same tiles an unbatched resumed
-    /// trace covers once filtered to positions `>= strike.at_tile`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Engine::run_forked`].
-    pub fn run_forked_traced<P, R>(
-        &self,
-        program: &mut P,
-        strike: &StrikeSpec,
-        rng: &mut R,
-        warm: &WarmState,
-        bucket_spans: &[(usize, usize)],
-        scratch: &mut RunScratch,
-    ) -> Result<(RunOutcome, ExecutionTrace), AccelError>
-    where
-        P: TiledProgram + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let mut trace = ExecutionTrace::new();
-        let req = RunRequest {
-            scratch: Some(scratch),
-            warm: Some(warm),
-            bucket_spans: Some(bucket_spans),
-            ..RunRequest::plain(std::slice::from_ref(strike))
-        };
-        let (outcome, _) = self.run_internal(program, req, rng, Some(&mut trace))?;
-        Ok((outcome, trace))
-    }
-
     fn run_internal<P, R>(
         &self,
         program: &mut P,
@@ -673,16 +380,6 @@ impl Engine {
                     tiles,
                 });
             }
-            // A fork replays tiles from `next_tile` on; a strike before
-            // that instant could never be delivered.
-            if let Some(w) = req.warm {
-                if s.at_tile < w.next_tile {
-                    return Err(AccelError::StrikeOutOfRange {
-                        tile: s.at_tile,
-                        tiles: w.next_tile,
-                    });
-                }
-            }
         }
 
         let mut phase_start = self.metrics.as_ref().map(|_| Instant::now());
@@ -704,95 +401,61 @@ impl Engine {
         } else {
             None
         };
-        let forked = req.warm.is_some();
-        let resumed = resume.is_some() || forked;
+        let resumed = resume.is_some();
 
-        let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) =
-            if let Some(w) = req.warm {
-                // Fork: copy the bucket's warm state into the scratch spares
-                // (or clone without a scratch). The warm state already sits
-                // at `next_tile`, prefix replay included, so the fork starts
-                // right at the strike instant.
-                let (mem, caches) = match scratch.as_deref_mut() {
+        let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) = match resume {
+            Some(snap) => {
+                // Snapshots hold memory as a delta against the post-setup
+                // image, so resume starts from that image — the scratch
+                // template when available, else a fresh setup — and
+                // overlays the buffers the golden prefix wrote.
+                let (mut mem, caches) = match scratch.as_deref_mut() {
                     Some(sc) => {
-                        // Same warm state as the previous fork: only the
-                        // buffers written on either side since that sync can
-                        // differ, so skip the rest of the image copy.
-                        let mem = match (sc.spare_origin == Some(w.gen), sc.spare.take()) {
-                            (true, Some(mut m)) => {
-                                m.restore_written_from(&w.mem);
-                                m
-                            }
-                            (_, spare) => {
-                                sc.spare_origin = Some(w.gen);
-                                sc.spare = spare;
-                                RunScratch::fill(&mut sc.spare, &w.mem)
-                            }
-                        };
-                        (mem, sc.caches_of(&w.caches))
-                    }
-                    None => (w.mem.clone(), w.caches.clone()),
-                };
-                (mem, caches, w.counters, w.l2_resident_samples, w.next_tile)
-            } else {
-                match resume {
-                    Some(snap) => {
-                        // Snapshots hold memory as a delta against the
-                        // post-setup image, so resume starts from that image —
-                        // the scratch template when available, else a fresh
-                        // setup — and overlays the buffers the golden prefix
-                        // wrote.
-                        let (mut mem, caches) = match scratch.as_deref_mut() {
-                            Some(sc) => {
-                                sc.ensure_template(program)?;
-                                (sc.image_of_template(), sc.caches_of(&snap.caches))
-                            }
-                            None => {
-                                let mut m = DeviceMemory::new();
-                                program.setup(&mut m)?;
-                                (m, snap.caches.clone())
-                            }
-                        };
-                        mem.apply_delta(&snap.mem_delta)?;
-                        (
-                            mem,
-                            caches,
-                            snap.counters,
-                            snap.l2_resident_samples,
-                            snap.at_tile,
-                        )
+                        sc.ensure_template(program)?;
+                        (sc.image_of_template(), sc.caches_of(&snap.caches))
                     }
                     None => {
-                        let mem = match scratch.as_deref_mut().filter(|_| resumable) {
-                            Some(sc) => {
-                                sc.ensure_template(program)?;
-                                sc.image_of_template()
-                            }
-                            None => {
-                                let mut m = DeviceMemory::new();
-                                program.setup(&mut m)?;
-                                m
-                            }
-                        };
-                        (
-                            mem,
-                            CacheHierarchy::new(&self.cfg),
-                            MachineCounters::default(),
-                            0.0,
-                            0,
-                        )
+                        let mut m = DeviceMemory::new();
+                        program.setup(&mut m)?;
+                        (m, snap.caches.clone())
                     }
-                }
-            };
+                };
+                mem.apply_delta(&snap.mem_delta)?;
+                (
+                    mem,
+                    caches,
+                    snap.counters,
+                    snap.l2_resident_samples,
+                    snap.at_tile,
+                )
+            }
+            None => {
+                let mem = match scratch.as_deref_mut().filter(|_| resumable) {
+                    Some(sc) => {
+                        sc.ensure_template(program)?;
+                        sc.image_of_template()
+                    }
+                    None => {
+                        let mut m = DeviceMemory::new();
+                        program.setup(&mut m)?;
+                        m
+                    }
+                };
+                (
+                    mem,
+                    CacheHierarchy::new(&self.cfg),
+                    MachineCounters::default(),
+                    0.0,
+                    0,
+                )
+            }
+        };
         let plan = DispatchPlan::new(&self.cfg, tiles, launch_tiles, threads_per_tile, local_mem);
 
         if let Some(m) = self.metrics.as_deref() {
             m.counter_add("radcrit_engine_runs_total", &[], 1);
             if resumed {
                 m.counter_add("radcrit_engine_resumed_runs_total", &[], 1);
-            }
-            if forked {
-                m.counter_add("radcrit_engine_forked_runs_total", &[], 1);
             }
             plan.observe(m);
         }
@@ -1008,11 +671,6 @@ impl Engine {
         if let Some(sc) = scratch.as_deref_mut() {
             if resumable {
                 sc.spare = Some(mem);
-                // A non-forked run's image (and written flags) no longer
-                // mirror any warm state; forked runs keep their sync.
-                if !forked {
-                    sc.spare_origin = None;
-                }
             }
         }
 
@@ -1021,17 +679,8 @@ impl Engine {
         // suffix spans — a tile the fault skipped keeps golden-at-resume
         // bytes that the golden suffix would have overwritten, so both
         // sides are needed.
-        // A forked run's store log starts at the strike tile, not the
-        // bucket's resume tile — but the golden stores in between are a
-        // subset of the bucket's precomputed golden spans, so the union
-        // covers the same elements either way.
-        let dirty = match (resumed, req.bucket_spans, req.snapshots) {
-            (true, Some(pre), _) => {
-                let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
-                spans.extend_from_slice(pre);
-                Some(DirtyRegion::from_spans(spans, output.len()))
-            }
-            (true, None, Some(snaps)) => {
+        let dirty = match (resumed, req.snapshots) {
+            (true, Some(snaps)) => {
                 let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
                 spans.extend(snaps.golden_spans_from(start_tile));
                 Some(DirtyRegion::from_spans(spans, output.len()))
@@ -1224,11 +873,6 @@ struct RunRequest<'a> {
     capture: Option<SnapshotPolicy>,
     /// Per-worker reusable setup/memory state.
     scratch: Option<&'a mut RunScratch>,
-    /// Fork off this warm golden state instead of restoring a snapshot.
-    warm: Option<&'a WarmState>,
-    /// Precomputed golden suffix spans for the warm state's bucket,
-    /// replacing the per-run `golden_spans_from` walk.
-    bucket_spans: Option<&'a [(usize, usize)]>,
 }
 
 impl<'a> RunRequest<'a> {
@@ -1238,8 +882,6 @@ impl<'a> RunRequest<'a> {
             snapshots: None,
             capture: None,
             scratch: None,
-            warm: None,
-            bucket_spans: None,
         }
     }
 }
@@ -1649,7 +1291,9 @@ mod tests {
         let mut rng_a = SmallRng::seed_from_u64(42);
         let plain = engine.run(&mut p, &s, &mut rng_a).unwrap();
         let mut rng_b = SmallRng::seed_from_u64(42);
-        let (traced, trace) = engine.run_traced(&mut p, &s, &mut rng_b).unwrap();
+        let (traced, trace) = engine
+            .run_injection_traced(&mut p, &s, &mut rng_b, None, &mut RunScratch::new())
+            .unwrap();
         assert_eq!(plain.output, traced.output);
         assert_eq!(plain.resolutions, traced.resolutions);
         assert_eq!(trace.tiles().len(), 8);
@@ -1751,7 +1395,15 @@ mod tests {
                 let mut rng_full = SmallRng::seed_from_u64(seed);
                 let full = engine.run(&mut p, &s, &mut rng_full).unwrap();
                 let mut rng_diff = SmallRng::seed_from_u64(seed);
-                let diff = engine.run_from(&mut p, &s, &mut rng_diff, &set).unwrap();
+                let diff = engine
+                    .run_injection(
+                        &mut p,
+                        &s,
+                        &mut rng_diff,
+                        Some(&set),
+                        &mut RunScratch::new(),
+                    )
+                    .unwrap();
                 assert_eq!(
                     bits(&full.output),
                     bits(&diff.output),
@@ -1770,136 +1422,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forked_run_is_bit_identical_to_full_and_resumed_runs() {
-        let engine = Engine::new(DeviceConfig::kepler_k40());
-        let mut p = Affine::new(64);
-        let (_, set) = engine
-            .golden_snapshotted(
-                &mut p,
-                &SnapshotPolicy {
-                    stride: 3,
-                    max_bytes: 0,
-                },
-            )
-            .unwrap();
-        let golden = engine.golden(&mut p).unwrap();
-        let targets = [
-            StrikeTarget::L2 { mask: 1 << 62 },
-            StrikeTarget::Fpu {
-                mask: 1 << 63,
-                op_index: 2,
-            },
-            StrikeTarget::Scheduler(SchedulerEffect::RedirectTile),
-            StrikeTarget::Scheduler(SchedulerEffect::SkipTile),
-            StrikeTarget::UnitGarble,
-        ];
-        let mut scratch = RunScratch::new();
-        let mut warm: Option<WarmState> = None;
-        for (i, target) in targets.iter().enumerate() {
-            // Ascending strike tiles within one bucket: the warm state
-            // advances monotonically like the batch scheduler drives it.
-            for at_tile in [3, 5, 7] {
-                let s = StrikeSpec::new(at_tile, *target);
-                let seed = 300 + i as u64;
-                let mut rng_full = SmallRng::seed_from_u64(seed);
-                let full = engine.run(&mut p, &s, &mut rng_full).unwrap();
-                let mut rng_diff = SmallRng::seed_from_u64(seed);
-                let diff = engine.run_from(&mut p, &s, &mut rng_diff, &set).unwrap();
-
-                let need_restore = match warm.as_ref() {
-                    Some(w) => {
-                        w.resume_tile() != set.resume_tile(at_tile).unwrap()
-                            || w.next_tile() > at_tile
-                    }
-                    None => true,
-                };
-                if need_restore {
-                    warm = engine
-                        .warm_restore(&mut p, &set, at_tile, &mut scratch, warm.take())
-                        .unwrap();
-                }
-                let w = warm.as_mut().unwrap();
-                engine.warm_advance(&mut p, w, at_tile).unwrap();
-                let spans: Vec<_> = set.golden_spans_from(w.resume_tile()).collect();
-                let mut rng_fork = SmallRng::seed_from_u64(seed);
-                let fork = engine
-                    .run_forked(&mut p, &s, &mut rng_fork, w, &spans, &mut scratch)
-                    .unwrap();
-
-                assert_eq!(
-                    bits(&full.output),
-                    bits(&fork.output),
-                    "{target:?}@{at_tile}"
-                );
-                assert_eq!(full.resolutions, fork.resolutions);
-                assert_eq!(full.profile, fork.profile);
-                assert_eq!(full.strike_delivered, fork.strike_delivered);
-                // The forked dirty region equals the unbatched one: both
-                // canonicalize the same covered element set.
-                assert_eq!(
-                    diff.dirty.as_ref().unwrap().ranges(),
-                    fork.dirty.as_ref().unwrap().ranges(),
-                    "{target:?}@{at_tile}"
-                );
-                for idx in 0..full.output.len() {
-                    if full.output[idx].to_bits() != golden.output[idx].to_bits() {
-                        assert!(
-                            fork.dirty.as_ref().unwrap().contains(idx),
-                            "{target:?}@{at_tile}: idx {idx} dirty"
-                        );
-                    }
-                }
-            }
-            warm = None; // next target restarts the bucket
-        }
-    }
-
-    #[test]
-    fn fork_before_warm_front_is_rejected() {
-        let engine = Engine::new(DeviceConfig::kepler_k40());
-        let mut p = Affine::new(64);
-        let (_, set) = engine
-            .golden_snapshotted(
-                &mut p,
-                &SnapshotPolicy {
-                    stride: 2,
-                    max_bytes: 0,
-                },
-            )
-            .unwrap();
-        let mut scratch = RunScratch::new();
-        let mut warm = engine
-            .warm_restore(&mut p, &set, 6, &mut scratch, None)
-            .unwrap()
-            .unwrap();
-        engine.warm_advance(&mut p, &mut warm, 6).unwrap();
-        let s = StrikeSpec::new(
-            5,
-            StrikeTarget::Fpu {
-                mask: 1,
-                op_index: 0,
-            },
-        );
-        let mut rng = SmallRng::seed_from_u64(0);
-        assert!(matches!(
-            engine.run_forked(&mut p, &s, &mut rng, &warm, &[], &mut scratch),
-            Err(AccelError::StrikeOutOfRange { tile: 5, tiles: 6 })
-        ));
-    }
-
-    #[test]
-    fn warm_restore_refuses_non_covered_or_non_resumable() {
-        let engine = Engine::new(DeviceConfig::kepler_k40());
-        let mut p = Affine::new(64);
-        let set = SnapshotSet::default();
-        let mut scratch = RunScratch::new();
-        assert!(engine
-            .warm_restore(&mut p, &set, 7, &mut scratch, None)
-            .unwrap()
-            .is_none());
     }
 
     #[test]
@@ -1988,7 +1510,15 @@ mod tests {
             .unwrap();
         let s = StrikeSpec::new(7, StrikeTarget::Scheduler(SchedulerEffect::SkipTile));
         let mut rng = SmallRng::seed_from_u64(3);
-        let run = engine.run_from(&mut p, &s, &mut rng, &donor_set).unwrap();
+        let run = engine
+            .run_injection(
+                &mut p,
+                &s,
+                &mut rng,
+                Some(&donor_set),
+                &mut RunScratch::new(),
+            )
+            .unwrap();
         assert!(run.dirty.is_none(), "non-resumable programs run full");
     }
 
@@ -2008,7 +1538,9 @@ mod tests {
             },
         );
         let mut rng = SmallRng::seed_from_u64(4);
-        engine.run_from(&mut p, &s, &mut rng, &set).unwrap();
+        engine
+            .run_injection(&mut p, &s, &mut rng, Some(&set), &mut RunScratch::new())
+            .unwrap();
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counter("radcrit_engine_resumed_runs_total", &[]),

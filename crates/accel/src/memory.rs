@@ -269,38 +269,6 @@ impl DeviceMemory {
         }
     }
 
-    /// [`DeviceMemory::restore_from`] restricted to buffers that may
-    /// have diverged: a buffer is copied only when *either* side's
-    /// written flag is set — `self` wrote it since its flags last
-    /// mirrored `template`'s, or `template` wrote it since the sync
-    /// point the caller tracks. Buffers with both flags clear are
-    /// bit-equal by that contract and are skipped. Afterwards `self`'s
-    /// flags mirror `template`'s exactly, like a full restore.
-    ///
-    /// Callers must guarantee the two memories share a sync lineage
-    /// (see `RunScratch`'s fork path); layouts that differ fall back to
-    /// a full restore.
-    pub fn restore_written_from(&mut self, template: &DeviceMemory) {
-        if self.buffers.len() != template.buffers.len() {
-            self.restore_from(template);
-            return;
-        }
-        for (dst, src) in self.buffers.iter_mut().zip(&template.buffers) {
-            if dst.written || src.written {
-                dst.base_addr = src.base_addr;
-                if dst.name != src.name {
-                    dst.name.clone_from(&src.name);
-                }
-                if dst.data.len() == src.data.len() {
-                    exec::copy_f64(&src.data, &mut dst.data);
-                } else {
-                    dst.data.clone_from(&src.data);
-                }
-            }
-            dst.written = src.written;
-        }
-    }
-
     /// Buffer length in elements.
     ///
     /// # Errors
@@ -510,36 +478,6 @@ mod tests {
         let a = mem.alloc("a", 1); // occupies bytes [0, 8)
         let _ = a;
         assert_eq!(mem.elem_at_byte(8), None);
-    }
-
-    #[test]
-    fn restore_written_skips_clean_buffers_and_mirrors_flags() {
-        let mut src = DeviceMemory::new();
-        let a = src.alloc_init("a", &[1.0, 2.0]);
-        let b = src.alloc_init("b", &[3.0, 4.0]);
-        let mut dst = src.clone();
-        // Sync point: flags clear on both sides, images equal.
-        src.reset_write_tracking();
-        dst.reset_write_tracking();
-
-        // Source writes only `b`; a fork restore must pick that up while
-        // leaving the untouched `a` allocation alone.
-        src.write(b, 0, 30.0).unwrap();
-        dst.write(a, 1, -1.0).unwrap(); // local divergence, also synced back
-        dst.restore_written_from(&src);
-        assert_eq!(dst.read(a, 1).unwrap(), 2.0, "dst-written buffer restored");
-        assert_eq!(dst.read(b, 0).unwrap(), 30.0, "src-written buffer copied");
-        // Flags mirror the source exactly, like a full restore.
-        assert_eq!(dst.written_delta().len(), src.written_delta().len());
-
-        // With both sides clean since the sync, nothing is copied: a
-        // behind-the-back divergence survives, proving the skip.
-        src.reset_write_tracking();
-        dst.reset_write_tracking();
-        dst.buffer_mut(a).unwrap().data[0] = 99.0;
-        dst.reset_write_tracking();
-        dst.restore_written_from(&src);
-        assert_eq!(dst.read(a, 0).unwrap(), 99.0, "clean buffers are skipped");
     }
 
     #[test]

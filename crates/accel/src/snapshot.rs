@@ -113,15 +113,6 @@ impl SnapshotSet {
         self.snaps[..i].last()
     }
 
-    /// The tile of the snapshot a strike at `tile` would resume from:
-    /// the greatest captured `at_tile <= tile`. This is the batch
-    /// scheduler's bucket key — strikes sharing a resume tile share one
-    /// warm restore.
-    #[must_use]
-    pub fn resume_tile(&self, tile: usize) -> Option<usize> {
-        self.resume_point(tile).map(|s| s.at_tile)
-    }
-
     /// Golden output-store spans of tiles `>= tile`, as `(start, len)`
     /// element spans. Unioned with a faulty run's own store log these
     /// bound the dirty output region of any run resumed at `tile`.
@@ -195,7 +186,7 @@ mod tests {
         assert_eq!(set.skipped_tiles(), 4);
         assert_eq!(set.bytes, 0, "skipped captures must not be charged");
         assert_eq!(set.cost_bytes(), 0);
-        assert_eq!(set.resume_tile(100), None);
+        assert!(set.resume_point(100).is_none());
     }
 
     #[test]
@@ -217,15 +208,16 @@ mod tests {
     }
 
     #[test]
-    fn resume_tile_matches_resume_point() {
+    fn resume_point_is_the_latest_snapshot_at_or_before_tile() {
         let mut set = SnapshotSet::default();
         for t in [2, 8, 16] {
             assert!(set.push(snap(t), usize::MAX));
         }
-        assert_eq!(set.resume_tile(0), None);
-        assert_eq!(set.resume_tile(2), Some(2));
-        assert_eq!(set.resume_tile(9), Some(8));
-        assert_eq!(set.resume_tile(100), Some(16));
+        let at = |tile| set.resume_point(tile).map(|s| s.at_tile);
+        assert_eq!(at(0), None);
+        assert_eq!(at(2), Some(2));
+        assert_eq!(at(9), Some(8));
+        assert_eq!(at(100), Some(16));
     }
 
     #[test]

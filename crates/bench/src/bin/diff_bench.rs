@@ -1,22 +1,20 @@
 //! `diff-bench` — injections/sec benchmark of differential injection
-//! execution (golden-prefix snapshot resume + dirty-region compare) and
-//! the prefix-sharing batch scheduler (fork-per-strike off warm
-//! snapshots) against full per-injection re-execution.
+//! execution (golden-prefix snapshot resume + dirty-region compare)
+//! against full per-injection re-execution.
 //!
 //! ```text
 //! diff-bench [--injections 60] [--n 256] [--workers 1] [--smoke]
 //!            [--out BENCH_6.json] [--history BENCH_HISTORY.jsonl]
 //! ```
 //!
-//! For each paper kernel the same campaign runs three times — with
+//! For each paper kernel the same campaign runs twice — with
 //! [`RunOptions::full_execution`] forced (every injection re-executes
-//! from tile 0), with differential mode but the batch scheduler off
-//! ([`RunOptions::no_batch`]), and with the default batched mode —
-//! against a pre-warmed golden cache, so the measured wall time is the
-//! injection phase. Science is bit-identical between the modes
-//! (asserted on the outcome counts); the speedup columns are the whole
-//! point. Exits non-zero when the batched DGEMM injection rate falls
-//! below 2.5× the committed pre-batching baseline (`--baseline`, the
+//! from tile 0) and in the default differential mode — against a
+//! pre-warmed golden cache, so the measured wall time is the injection
+//! phase. Science is bit-identical between the modes (asserted on the
+//! outcome counts); the speedup column is the whole point. Exits
+//! non-zero when the differential DGEMM injection rate falls below
+//! 2.5× the committed full-execution baseline (`--baseline`, the
 //! `full_inj_per_sec` of the DGEMM row in `BENCH_4.json`) — or, when no
 //! baseline file is present, below a 2.5× in-process speedup over full
 //! execution. `--smoke` relaxes the gates for tiny CI sizes where
@@ -25,13 +23,15 @@
 //! Every run also appends one fingerprinted row per kernel (host,
 //! commit, active SIMD ISA, rates, top-5 self-time phases of a
 //! profiled rep) to the continuous history file (`--history`, default
-//! `BENCH_HISTORY.jsonl`) and — outside `--smoke` — gates the batched
-//! rates against the committed `--history-baseline` (default the
-//! freshly written/committed `BENCH_6.json`): any kernel more than
-//! 10 % below its committed `batch_inj_per_sec` exits non-zero. Both
-//! gates are like-for-like on the ISA: a run pinned to the scalar
-//! executor (`RADCRIT_FORCE_SCALAR=1`) records its rows but is never
-//! compared against a vectorized baseline. See
+//! `BENCH_HISTORY.jsonl`) and — outside `--smoke` — gates the
+//! differential rates against the committed `--history-baseline`
+//! (default the freshly written/committed `BENCH_6.json`): any kernel
+//! more than 10 % below its committed `batch_inj_per_sec` exits
+//! non-zero. That key names the default-mode rate; it keeps its
+//! historical name so committed baselines and history rows stay
+//! comparable. Both gates are like-for-like on the ISA: a run pinned to
+//! the scalar executor (`RADCRIT_FORCE_SCALAR=1`) records its rows but
+//! is never compared against a vectorized baseline. See
 //! [`radcrit_bench::history`].
 
 use std::path::PathBuf;
@@ -114,14 +114,12 @@ struct Measurement {
     injections: usize,
     full_secs: f64,
     diff_secs: f64,
-    batch_secs: f64,
     resumed_runs: u64,
-    forked_runs: u64,
-    bucket_restores: u64,
     skipped_tiles: u64,
     snapshot_bytes: f64,
     outcomes_match: bool,
-    /// Top self-time phases of one profiled batched rep, hottest first.
+    /// Top self-time phases of one profiled differential rep, hottest
+    /// first.
     top_phases: Vec<(String, u64)>,
 }
 
@@ -132,14 +130,8 @@ impl Measurement {
     fn diff_rate(&self) -> f64 {
         self.injections as f64 / self.diff_secs.max(1e-9)
     }
-    fn batch_rate(&self) -> f64 {
-        self.injections as f64 / self.batch_secs.max(1e-9)
-    }
     fn diff_speedup(&self) -> f64 {
         self.full_secs / self.diff_secs.max(1e-9)
-    }
-    fn batch_speedup(&self) -> f64 {
-        self.full_secs / self.batch_secs.max(1e-9)
     }
 }
 
@@ -151,7 +143,6 @@ impl Measurement {
 fn timed_run(
     campaign: &Campaign,
     full_execution: bool,
-    no_batch: bool,
     reps: usize,
     metrics: &Arc<MetricsRegistry>,
 ) -> (f64, Vec<(String, usize)>, f64) {
@@ -166,7 +157,6 @@ fn timed_run(
     let options = |metrics: Arc<MetricsRegistry>| RunOptions {
         golden_cache: Some(Arc::clone(&cache)),
         full_execution,
-        no_batch,
         metrics: Some(metrics),
         ..RunOptions::default()
     };
@@ -201,7 +191,7 @@ fn timed_run(
     (secs, tally.into_iter().collect(), snapshot_bytes)
 }
 
-/// Runs one extra batched rep with the phase profiler on (against a
+/// Runs one extra differential rep with the phase profiler on (against a
 /// freshly warmed cache, like the timed reps) and returns the top-5
 /// self-time phases. Untimed: profiled reps never feed the rate
 /// columns, so the ≤5 % enabled-profiler overhead cannot skew them.
@@ -249,12 +239,9 @@ fn measure(
         Campaign::new(DeviceConfig::kepler_k40(), spec, injections, 2017).with_workers(workers);
 
     let full_metrics = Arc::new(MetricsRegistry::new());
-    let (full_secs, full_tally, _) = timed_run(&campaign, true, false, reps, &full_metrics);
+    let (full_secs, full_tally, _) = timed_run(&campaign, true, reps, &full_metrics);
     let diff_metrics = Arc::new(MetricsRegistry::new());
-    let (diff_secs, diff_tally, snapshot_bytes) =
-        timed_run(&campaign, false, true, reps, &diff_metrics);
-    let batch_metrics = Arc::new(MetricsRegistry::new());
-    let (batch_secs, batch_tally, _) = timed_run(&campaign, false, false, reps, &batch_metrics);
+    let (diff_secs, diff_tally, snapshot_bytes) = timed_run(&campaign, false, reps, &diff_metrics);
 
     // Counters accumulate across repetitions of the identical campaign;
     // report the per-campaign figure.
@@ -267,13 +254,10 @@ fn measure(
         injections,
         full_secs,
         diff_secs,
-        batch_secs,
         resumed_runs: per_rep(&diff_metrics, "radcrit_engine_resumed_runs_total"),
-        forked_runs: per_rep(&batch_metrics, "radcrit_engine_forked_runs_total"),
-        bucket_restores: per_rep(&batch_metrics, "radcrit_bucket_restores_total"),
         skipped_tiles: per_rep(&diff_metrics, "radcrit_snapshot_skipped_tiles_total"),
         snapshot_bytes,
-        outcomes_match: full_tally == diff_tally && full_tally == batch_tally,
+        outcomes_match: full_tally == diff_tally,
         top_phases: profiled_phases(&campaign),
     }
 }
@@ -309,32 +293,22 @@ fn main() {
         args.injections, args.workers, args.reps
     );
     println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8} {:>8}",
-        "kernel",
-        "full s",
-        "diff s",
-        "batch s",
-        "full inj/s",
-        "batch in/s",
-        "diff",
-        "batch",
-        "forks"
+        "{:<16} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8}",
+        "kernel", "full s", "diff s", "full inj/s", "diff inj/s", "diff", "resumed"
     );
 
     let mut rows = Vec::new();
     for (name, spec) in kernels {
         let m = measure(&name, spec, args.injections, args.workers, args.reps);
         println!(
-            "{:<16} {:>9.3} {:>9.3} {:>9.3} {:>11.1} {:>11.1} {:>7.2}x {:>7.2}x {:>8}",
+            "{:<16} {:>9.3} {:>9.3} {:>11.1} {:>11.1} {:>7.2}x {:>8}",
             m.kernel,
             m.full_secs,
             m.diff_secs,
-            m.batch_secs,
             m.full_rate(),
-            m.batch_rate(),
+            m.diff_rate(),
             m.diff_speedup(),
-            m.batch_speedup(),
-            m.forked_runs,
+            m.resumed_runs,
         );
         if !m.outcomes_match {
             eprintln!(
@@ -346,13 +320,6 @@ fn main() {
         if m.resumed_runs == 0 {
             eprintln!(
                 "diff-bench: no injection resumed from a snapshot on {}",
-                m.kernel
-            );
-            exit(1)
-        }
-        if m.forked_runs == 0 {
-            eprintln!(
-                "diff-bench: no injection forked off a warm bucket on {}",
                 m.kernel
             );
             exit(1)
@@ -378,7 +345,7 @@ fn main() {
             commit: commit.clone(),
             kernel: m.kernel.clone(),
             isa: m.isa.clone(),
-            batch_inj_per_sec: m.batch_rate(),
+            batch_inj_per_sec: m.diff_rate(),
             full_inj_per_sec: m.full_rate(),
             top_phases: m.top_phases.clone(),
         })
@@ -406,7 +373,7 @@ fn main() {
     }
 
     // Perf-history gate: every kernel in the committed baseline must be
-    // within 10 % of its committed batched rate — but only like for
+    // within 10 % of its committed default-mode rate — but only like for
     // like on the ISA. Baselines predating the isa column were measured
     // with the native vectorized executor, so they only gate runs that
     // are not pinned away from it (hardware(), not detected(): the
@@ -425,17 +392,16 @@ fn main() {
             continue;
         }
         if let Some(m) = rows.iter().find(|m| m.kernel == kernel) {
-            if let Err(msg) = history::check_regression(&kernel, m.batch_rate(), base) {
+            if let Err(msg) = history::check_regression(&kernel, m.diff_rate(), base) {
                 eprintln!("diff-bench: {msg}");
                 exit(1)
             }
         }
     }
-    // Acceptance floor: 2.5x over the *committed* pre-batching full
-    // rate (the baseline the batch scheduler was specified against).
-    // The in-process full mode also benefits from engine speedups that
-    // landed alongside batching, so it understates the delivered gain;
-    // it is only the fallback when no baseline file is around. The
+    // Acceptance floor: 2.5x over the *committed* full rate of
+    // `BENCH_4.json`. The in-process full mode also benefits from later
+    // engine speedups, so it understates the delivered gain; it is only
+    // the fallback when no baseline file is around. The
     // committed baseline was measured with the native executor, so a
     // scalar-pinned run (correctness reference, not a perf claim) is
     // exempt.
@@ -445,12 +411,12 @@ fn main() {
     }
     match baseline_dgemm_full_rate(&args.baseline) {
         Some(base) => {
-            let gain = dgemm.batch_rate() / base.max(1e-9);
+            let gain = dgemm.diff_rate() / base.max(1e-9);
             if gain < 2.5 {
                 eprintln!(
-                    "diff-bench: batched DGEMM at {:.1} inj/s is {:.2}x the committed \
+                    "diff-bench: differential DGEMM at {:.1} inj/s is {:.2}x the committed \
                      baseline of {:.1} inj/s ({}), below the 2.5x acceptance floor",
-                    dgemm.batch_rate(),
+                    dgemm.diff_rate(),
                     gain,
                     base,
                     args.baseline.display()
@@ -459,12 +425,12 @@ fn main() {
             }
         }
         None => {
-            if dgemm.batch_speedup() < 2.5 {
+            if dgemm.diff_speedup() < 2.5 {
                 eprintln!(
-                    "diff-bench: no baseline at {}; in-process batched DGEMM speedup \
+                    "diff-bench: no baseline at {}; in-process differential DGEMM speedup \
                      {:.2}x is below the 2.5x acceptance floor",
                     args.baseline.display(),
-                    dgemm.batch_speedup()
+                    dgemm.diff_speedup()
                 );
                 exit(1)
             }
@@ -485,7 +451,7 @@ fn baseline_dgemm_full_rate(path: &std::path::Path) -> Option<f64> {
 }
 
 fn render_json(args: &Args, rows: &[Measurement]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"batched-differential-injection-execution\",\n");
+    let mut s = String::from("{\n  \"bench\": \"differential-injection-execution\",\n");
     s.push_str("  \"device\": \"K40\",\n  \"seed\": 2017,\n");
     s.push_str(&format!(
         "  \"injections_per_kernel\": {},\n  \"workers\": {},\n  \"reps\": {},\n  \"kernels\": [\n",
@@ -495,11 +461,9 @@ fn render_json(args: &Args, rows: &[Measurement]) -> String {
         s.push_str(&format!(
             concat!(
                 "    {{\"kernel\": \"{}\", \"isa\": \"{}\", \"injections\": {}, ",
-                "\"full_secs\": {:.4}, \"diff_secs\": {:.4}, \"batch_secs\": {:.4}, ",
-                "\"full_inj_per_sec\": {:.2}, \"diff_inj_per_sec\": {:.2}, ",
-                "\"batch_inj_per_sec\": {:.2}, ",
-                "\"diff_speedup\": {:.3}, \"batch_speedup\": {:.3}, ",
-                "\"resumed_runs\": {}, \"forked_runs\": {}, \"bucket_restores\": {}, ",
+                "\"full_secs\": {:.4}, \"diff_secs\": {:.4}, ",
+                "\"full_inj_per_sec\": {:.2}, \"batch_inj_per_sec\": {:.2}, ",
+                "\"diff_speedup\": {:.3}, \"resumed_runs\": {}, ",
                 "\"snapshot_skipped_tiles\": {}, \"snapshot_bytes\": {:.0}, ",
                 "\"outcomes_match\": {}}}{}\n"
             ),
@@ -508,15 +472,10 @@ fn render_json(args: &Args, rows: &[Measurement]) -> String {
             m.injections,
             m.full_secs,
             m.diff_secs,
-            m.batch_secs,
             m.full_rate(),
             m.diff_rate(),
-            m.batch_rate(),
             m.diff_speedup(),
-            m.batch_speedup(),
             m.resumed_runs,
-            m.forked_runs,
-            m.bucket_restores,
             m.skipped_tiles,
             m.snapshot_bytes,
             m.outcomes_match,

@@ -2,7 +2,7 @@
 //!
 //! Every `diff-bench` run appends one fingerprinted [`HistoryRow`] per
 //! kernel to `BENCH_HISTORY.jsonl`: which host and commit produced the
-//! number, the batched and full injection rates, and the top self-time
+//! number, the differential and full injection rates, and the top self-time
 //! phases of the run's hierarchical profile — enough to answer "when
 //! did DGEMM get slower, and which phase ate the time" by reading one
 //! file, without rerunning anything.
@@ -35,7 +35,9 @@ pub struct HistoryRow {
     /// Rates are only comparable within one ISA; rows written before
     /// the column existed parse as `unknown`.
     pub isa: String,
-    /// Batched differential injections per second (the headline rate).
+    /// Default-mode (differential) injections per second, the headline
+    /// rate. The field keeps its historical name so committed rows and
+    /// baselines stay comparable.
     pub batch_inj_per_sec: f64,
     /// Full re-execution injections per second (the denominator of the
     /// speedup story).

@@ -47,7 +47,7 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use radcrit_accel::engine::{Engine, RunScratch, StrikeResolution, WarmState};
+use radcrit_accel::engine::{Engine, RunScratch, StrikeResolution};
 use radcrit_accel::error::AccelError;
 use radcrit_accel::profile::ExecutionProfile;
 use radcrit_accel::snapshot::{SnapshotPolicy, SnapshotSet};
@@ -144,13 +144,6 @@ pub struct RunOptions {
     /// `chrome://tracing` / Perfetto. Wall-clock data: lives beside the
     /// metrics, never in the deterministic event stream.
     pub trace_out: Option<PathBuf>,
-    /// Disable the prefix-sharing batch scheduler: run differential
-    /// injections in plan order, restoring a snapshot per injection.
-    /// Outcomes, events and summary are bit-identical either way; this
-    /// exists to measure the batching speedup and to rule the scheduler
-    /// out when debugging. Ignored under [`RunOptions::full_execution`]
-    /// (a full-execution run has no snapshots to batch over).
-    pub no_batch: bool,
     /// Write the merged phase-profile tree here as one-line JSON at end
     /// of run (see [`radcrit_obs::profile`]). Setting this enables the
     /// hierarchical profiler on every worker; leaving it (and
@@ -251,80 +244,18 @@ struct Shared {
     events_sample: Option<u64>,
     /// Phase-timeline recorder, when [`RunOptions::trace_out`] is set.
     trace: Option<Arc<TraceRecorder>>,
-    /// Bucket accounting of the batch scheduler; `Some` exactly when
-    /// `pending` was sorted into snapshot buckets.
-    buckets: Option<BucketCounters>,
     /// Phase-profile merge point, when profiling is enabled. Workers
     /// enable their thread-local accumulator on entry and drain into
     /// this collector once, at exit.
     profile: Option<Arc<ProfileCollector>>,
 }
 
-/// Live counters of the batch scheduler, shared between workers (who
-/// bump them) and the collector (whose progress line reports them).
-#[derive(Default)]
-struct BucketCounters {
-    /// Warm snapshot restores — one per (worker, bucket) pair.
-    restores: AtomicU64,
-    /// Forked injection executions off a warm bucket.
-    forks: AtomicU64,
-}
-
-/// One warm bucket owned by a worker: golden machine state restored from
-/// the bucket's snapshot and advanced to the last fork's strike tile,
-/// plus the bucket's precomputed golden suffix spans (the compare-setup
-/// half of the amortization).
-struct WarmBucket {
-    state: WarmState,
-    /// Golden output-store spans from the bucket's resume tile on.
-    spans: Vec<(usize, usize)>,
-    forks: u64,
-    started: Instant,
-}
-
-/// Batch-scheduler context threaded through one worker's injections.
-struct BatchCtx<'a> {
-    /// `Some` when the batch scheduler is on (so `pending` is in bucket
-    /// order and strikes with a usable snapshot fork off warm state).
-    counters: Option<&'a BucketCounters>,
-    metrics: Option<&'a MetricsRegistry>,
-    warm: Option<WarmBucket>,
-}
-
-/// Ends a bucket: records its wall-clock span on the worker's timeline
-/// and hands the warm state back for allocation reuse by the next
-/// bucket's restore.
-fn close_bucket(bucket: WarmBucket, trace: Option<&TraceRecorder>, tid: u64) -> WarmState {
-    if let Some(tr) = trace {
-        tr.record(
-            "bucket",
-            tid,
-            bucket.started,
-            &[
-                ("resume", bucket.state.resume_tile() as u64),
-                ("forks", bucket.forks),
-            ],
-        );
-    }
-    bucket.state
-}
-
 /// The per-injection RNG stream seed — a fixed function of `(campaign
 /// seed, index)`, so records are reproducible independent of worker
-/// scheduling and of the batch scheduler's execution order.
+/// scheduling.
 fn stream_seed(seed: u64, index: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(index as u64)
-}
-
-/// The progress line's `(restores, forks)` pair, when batching is on.
-fn bucket_stats(shared: &Shared) -> Option<(u64, u64)> {
-    shared.buckets.as_ref().map(|b| {
-        (
-            b.restores.load(Ordering::Relaxed),
-            b.forks.load(Ordering::Relaxed),
-        )
-    })
 }
 
 /// One worker's watchdog slot. The generation counter arbitrates between
@@ -571,34 +502,6 @@ impl Campaign {
             .map_or(pending.len(), |b| b.min(pending.len()));
         pending.truncate(target);
 
-        // Prefix-sharing batch scheduler: sort the remaining plan into
-        // buckets keyed by resume snapshot, then strike tile, so one
-        // warm restore serves a whole bucket of forks. Each index's plan
-        // is pre-sampled here with its own RNG stream — exactly the draw
-        // the executing worker repeats — so sorting changes *execution
-        // order only*: record content, the event stream and the summary
-        // stay bit-identical (the event writer reorders by index, the
-        // checkpoint replay tolerates any completion order). Fatal plans
-        // and strikes before the first snapshot have no bucket and keep
-        // index order at the end of the plan. Budget truncation happens
-        // first, so a budgeted run completes the same index subset
-        // batched or not.
-        let batched =
-            differential && !options.no_batch && snapshots.as_ref().is_some_and(|s| !s.is_empty());
-        if batched {
-            let snaps = snapshots.as_ref().expect("batched implies snapshots");
-            pending.sort_by_cached_key(|&index| {
-                let mut rng = StdRng::seed_from_u64(stream_seed(self.seed, index));
-                match sampler.sample(&mut rng) {
-                    InjectionPlan::Strike(spec) => match snaps.resume_tile(spec.at_tile) {
-                        Some(resume) => (0u8, resume, spec.at_tile, index),
-                        None => (1, 0, 0, index),
-                    },
-                    _ => (1, 0, 0, index),
-                }
-            });
-        }
-
         // Event stream: fresh runs start with a `run_begin` header;
         // resumed runs reopen the file, truncate a torn tail, and learn
         // which injection indices the stream already covers.
@@ -658,7 +561,6 @@ impl Campaign {
                 .as_ref()
                 .map(|_| options.events_sample.max(1)),
             trace: trace.clone(),
-            buckets: batched.then(BucketCounters::default),
             profile: profiler.clone(),
         });
 
@@ -822,11 +724,7 @@ impl Campaign {
                 if last_progress.elapsed() >= interval {
                     eprintln!(
                         "{}",
-                        telemetry.snapshot().progress_line(
-                            target,
-                            Some(&analytics),
-                            bucket_stats(&shared)
-                        )
+                        telemetry.snapshot().progress_line(target, Some(&analytics))
                     );
                     last_progress = Instant::now();
                 }
@@ -854,9 +752,7 @@ impl Campaign {
         if options.progress.is_some() {
             eprintln!(
                 "{}",
-                telemetry
-                    .snapshot()
-                    .progress_line(target, Some(&analytics), bucket_stats(&shared))
+                telemetry.snapshot().progress_line(target, Some(&analytics))
             );
         }
         records.sort_by_key(|r| r.index);
@@ -922,7 +818,6 @@ impl Campaign {
         snapshots: Option<&SnapshotSet>,
         scratch: &mut RunScratch,
         obs: &mut ObsCtx<'_>,
-        batch: &mut BatchCtx<'_>,
     ) -> Result<InjectionRecord, AccelError> {
         // A per-injection RNG stream: reproducible independent of worker
         // scheduling.
@@ -931,7 +826,7 @@ impl Campaign {
         let span = obs.detail.then(|| Span::enter(obs.buf, "injection"));
         let started = Instant::now();
         let result = self.run_one_inner(
-            index, engine, kernel, sampler, golden, snapshots, scratch, obs, batch, &mut rng,
+            index, engine, kernel, sampler, golden, snapshots, scratch, obs, &mut rng,
         );
         if let Some(tr) = obs.trace {
             tr.record("injection", obs.tid, started, &[("index", index as u64)]);
@@ -953,7 +848,6 @@ impl Campaign {
         snapshots: Option<&SnapshotSet>,
         scratch: &mut RunScratch,
         obs: &mut ObsCtx<'_>,
-        batch: &mut BatchCtx<'_>,
         rng: &mut StdRng,
     ) -> Result<InjectionRecord, AccelError> {
         let plan = sampler.sample(rng);
@@ -1006,81 +900,10 @@ impl Campaign {
                 // trace is only pulled when provenance needs it. With
                 // snapshots attached the engine resumes from the nearest
                 // golden-prefix snapshot at or before the strike tile —
-                // bit-identical to a full run by construction. Under the
-                // batch scheduler the plan is in bucket order, so strikes
-                // with a usable snapshot fork off this worker's warm
-                // bucket state instead of restoring per injection.
+                // bit-identical to a full run by construction.
                 let execute_started = Instant::now();
-                let bucket = match (batch.counters, snapshots) {
-                    (Some(counters), Some(snaps)) => snaps
-                        .resume_tile(spec.at_tile)
-                        .map(|resume| (counters, snaps, resume)),
-                    _ => None,
-                };
-                let (run, trace) = if let Some((counters, snaps, resume)) = bucket {
-                    // A bucket is stale when it resumes from a different
-                    // snapshot or its golden front has already advanced
-                    // past this strike (possible when workers interleave
-                    // buckets off the shared cursor).
-                    let stale = batch.warm.as_ref().is_none_or(|b| {
-                        b.state.resume_tile() != resume || b.state.next_tile() > spec.at_tile
-                    });
-                    if stale {
-                        let _scope = phase_profile::phase(PhaseId::BucketRestore);
-                        let reuse = batch
-                            .warm
-                            .take()
-                            .map(|b| close_bucket(b, obs.trace, obs.tid));
-                        let state = engine
-                            .warm_restore(kernel, snaps, spec.at_tile, scratch, reuse)?
-                            .expect("resume_tile implies a usable snapshot");
-                        counters.restores.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = batch.metrics {
-                            m.counter_add("radcrit_bucket_restores_total", &[], 1);
-                        }
-                        batch.warm = Some(WarmBucket {
-                            spans: snaps.golden_spans_from(resume).collect(),
-                            state,
-                            forks: 0,
-                            started: Instant::now(),
-                        });
-                    }
-                    let bucket = batch.warm.as_mut().expect("bucket was just ensured");
-                    let advanced = {
-                        let _scope = phase_profile::phase(PhaseId::WarmAdvance);
-                        engine.warm_advance(kernel, &mut bucket.state, spec.at_tile)?
-                    };
-                    counters.forks.fetch_add(1, Ordering::Relaxed);
-                    bucket.forks += 1;
-                    if let Some(m) = batch.metrics {
-                        m.counter_add("radcrit_bucket_forks_total", &[], 1);
-                        m.counter_add("radcrit_bucket_advance_tiles_total", &[], advanced as u64);
-                    }
-                    let _scope = phase_profile::phase(PhaseId::Fork);
-                    if obs.buf.is_enabled() {
-                        let (run, trace) = engine.run_forked_traced(
-                            kernel,
-                            &spec,
-                            rng,
-                            &bucket.state,
-                            &bucket.spans,
-                            scratch,
-                        )?;
-                        (run, Some(trace))
-                    } else {
-                        (
-                            engine.run_forked(
-                                kernel,
-                                &spec,
-                                rng,
-                                &bucket.state,
-                                &bucket.spans,
-                                scratch,
-                            )?,
-                            None,
-                        )
-                    }
-                } else if obs.buf.is_enabled() {
+                let fork_scope = phase_profile::phase(PhaseId::Fork);
+                let (run, trace) = if obs.buf.is_enabled() {
                     let (run, trace) =
                         engine.run_injection_traced(kernel, &spec, rng, snapshots, scratch)?;
                     (run, Some(trace))
@@ -1090,6 +913,7 @@ impl Campaign {
                         None,
                     )
                 };
+                drop(fork_scope);
                 if let Some(tr) = obs.trace {
                     tr.record(
                         "execute",
@@ -1262,13 +1086,6 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
     // injections restore device memory in place instead of re-running
     // it and reallocating every buffer.
     let mut scratch = RunScratch::new();
-    // Batch-scheduler context: this worker's warm bucket (if any) plus
-    // the run-wide bucket counters.
-    let mut batch = BatchCtx {
-        counters: shared.buckets.as_ref(),
-        metrics: shared.metrics.as_deref(),
-        warm: None,
-    };
 
     loop {
         if shared.stop.load(Ordering::SeqCst) {
@@ -1312,7 +1129,6 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
                     trace: shared.trace.as_deref(),
                     tid,
                 },
-                &mut batch,
             )
         }));
         let latency = started.elapsed();
@@ -1361,9 +1177,6 @@ fn worker_loop(shared: Arc<Shared>, slot: Arc<Mutex<Slot>>, tx: SyncSender<Event
                 break;
             }
         }
-    }
-    if let Some(b) = batch.warm.take() {
-        close_bucket(b, shared.trace.as_deref(), tid);
     }
     // Merge before `Exited`: the collector snapshots the profile as soon
     // as the last worker is accounted for.

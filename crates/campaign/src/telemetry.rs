@@ -145,18 +145,10 @@ impl TelemetrySnapshot {
     /// daemon's analytics endpoints, never a second counting path), the
     /// line also reports the tolerance-filtered SDC count and the
     /// converging FIT estimate with its 95 % CI width.
-    ///
-    /// `buckets` is the batch scheduler's live `(restores, forks)` pair;
-    /// when present the line reports how many warm-bucket restores the
-    /// forked injections amortized. It is passed alongside the snapshot
-    /// (not stored in it) because bucket counts are an execution-order
-    /// artifact: a batched and an unbatched run of the same campaign
-    /// must stay comparable snapshot-for-snapshot.
     pub fn progress_line(
         &self,
         target: usize,
         analytics: Option<&CriticalityAggregator>,
-        buckets: Option<(u64, u64)>,
     ) -> String {
         let pct = if target == 0 {
             100.0
@@ -182,13 +174,9 @@ impl TelemetrySnapshot {
             ),
             None => String::new(),
         };
-        let bucket = match buckets {
-            Some((restores, forks)) => format!(" buckets {restores} forks {forks} |"),
-            None => String::new(),
-        };
         format!(
             "[campaign] {}/{} ({pct:.1}%) | {rate:.1} inj/s | masked {} sdc {} crash {} hang {} \
-             (watchdog {}) |{crit}{bucket} {quantiles} | eta {eta}",
+             (watchdog {}) |{crit} {quantiles} | eta {eta}",
             self.completed,
             target,
             self.masked,
@@ -274,20 +262,11 @@ mod tests {
     fn progress_line_mentions_the_essentials() {
         let mut t = Telemetry::new();
         t.record(&InjectionOutcome::Masked, Duration::from_micros(50), false);
-        let line = t.snapshot().progress_line(10, None, None);
+        let line = t.snapshot().progress_line(10, None);
         assert!(line.contains("1/10"), "{line}");
         assert!(line.contains("inj/s"), "{line}");
         assert!(line.contains("masked 1"), "{line}");
         assert!(!line.contains("crit"), "no analytics attached: {line}");
-        assert!(!line.contains("buckets"), "unbatched run: {line}");
-    }
-
-    #[test]
-    fn progress_line_reports_bucket_stats_when_batched() {
-        let mut t = Telemetry::new();
-        t.record(&InjectionOutcome::Masked, Duration::from_micros(50), false);
-        let line = t.snapshot().progress_line(10, None, Some((3, 27)));
-        assert!(line.contains("buckets 3 forks 27"), "{line}");
     }
 
     #[test]
@@ -308,7 +287,7 @@ mod tests {
             critical: true,
             fclass: Some(SpatialClass::Line),
         });
-        let line = t.snapshot().progress_line(10, Some(&agg), None);
+        let line = t.snapshot().progress_line(10, Some(&agg));
         assert!(line.contains("crit 1"), "{line}");
         assert!(line.contains("fit "), "{line}");
         assert!(line.contains('±'), "{line}");

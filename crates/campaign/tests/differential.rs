@@ -13,11 +13,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use radcrit_accel::config::DeviceConfig;
-use radcrit_accel::engine::Engine;
+use radcrit_accel::engine::{Engine, RunScratch};
 use radcrit_accel::snapshot::SnapshotPolicy;
 use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use radcrit_campaign::runner::{compare_with_logical_coords, compare_with_logical_coords_sparse};
 use radcrit_campaign::{Campaign, KernelSpec, RunOptions};
+use radcrit_core::compare::{compare_slices, compare_slices_sparse};
 
 /// Every [`StrikeTarget`] variant, including each scheduler effect.
 fn all_targets() -> Vec<StrikeTarget> {
@@ -120,7 +121,13 @@ fn resumed_runs_are_bit_identical_to_full_runs_everywhere() {
                         .expect("full run");
                     let mut rng_diff = StdRng::seed_from_u64(seed);
                     let diff = engine
-                        .run_from(kernel.as_mut(), &strike, &mut rng_diff, &snaps)
+                        .run_injection(
+                            kernel.as_mut(),
+                            &strike,
+                            &mut rng_diff,
+                            Some(&snaps),
+                            &mut RunScratch::new(),
+                        )
                         .expect("resumed run");
                     let ctx = format!(
                         "{spec:?} on {:?}, {target:?} at tile {at_tile}",
@@ -158,7 +165,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized corner of the same invariant: arbitrary strike tiles,
-    /// RNG seeds, masks and op indices on DGEMM/K40.
+    /// RNG seeds, masks and op indices on DGEMM/K40. The resumed run's
+    /// dirty region must also make the sparse compare exhaustive: it
+    /// finds exactly the mismatches a dense compare of the full run does.
     #[test]
     fn resumed_dgemm_runs_are_bit_identical(
         at_tile in 0usize..4,
@@ -169,7 +178,7 @@ proptest! {
     ) {
         let engine = Engine::new(DeviceConfig::kepler_k40());
         let mut kernel = KernelSpec::Dgemm { n: 32 }.build(seed).expect("kernel builds");
-        let (_, snaps) = engine
+        let (golden, snaps) = engine
             .golden_snapshotted(kernel.as_mut(), &SnapshotPolicy::default())
             .expect("golden run");
         let mask = 1u64 << bit;
@@ -184,70 +193,23 @@ proptest! {
         let full = engine.run(kernel.as_mut(), &strike, &mut rng_full).expect("full run");
         let mut rng_diff = StdRng::seed_from_u64(seed);
         let diff = engine
-            .run_from(kernel.as_mut(), &strike, &mut rng_diff, &snaps)
+            .run_injection(
+                kernel.as_mut(),
+                &strike,
+                &mut rng_diff,
+                Some(&snaps),
+                &mut RunScratch::new(),
+            )
             .expect("resumed run");
         prop_assert_eq!(bits(&full.output), bits(&diff.output));
         prop_assert_eq!(full.resolutions, diff.resolutions);
         prop_assert_eq!(full.profile, diff.profile);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The batch scheduler's compare-setup reuse: one bucket's
-    /// precomputed dirty-region union (the forked run's own store log ∪
-    /// the bucket's golden suffix spans) must make the sparse compare
-    /// equivalent to a full-buffer compare for *every* injection in the
-    /// bucket — random masks, sites and op indices.
-    #[test]
-    fn bucket_dirty_union_makes_sparse_compare_exhaustive(
-        seed in 0u64..1 << 32,
-        bit in 0u32..64,
-        target_kind in 0usize..3,
-    ) {
-        use radcrit_accel::engine::RunScratch;
-        use radcrit_core::compare::{compare_slices, compare_slices_sparse};
-
-        let engine = Engine::new(DeviceConfig::kepler_k40());
-        let mut kernel = KernelSpec::Dgemm { n: 32 }.build(7).expect("kernel builds");
-        let policy = SnapshotPolicy { stride: 2, max_bytes: 0 };
-        let (golden, snaps) = engine
-            .golden_snapshotted(kernel.as_mut(), &policy)
-            .expect("golden run");
-        let tiles = kernel.tile_count();
-        // One bucket: every strike tile sharing the snapshot nearest the
-        // middle of the run, executed fork-by-fork off one warm restore
-        // exactly as the runner does.
-        let resume = snaps.resume_tile(tiles / 2).expect("snapshot exists");
-        let spans: Vec<(usize, usize)> = snaps.golden_spans_from(resume).collect();
-        let mut scratch = RunScratch::new();
-        let mut warm = engine
-            .warm_restore(kernel.as_mut(), &snaps, tiles / 2, &mut scratch, None)
-            .expect("restore")
-            .expect("dgemm is resumable");
-        let mask = 1u64 << bit;
-        for at_tile in resume..tiles {
-            let target = match target_kind {
-                0 => StrikeTarget::L2 { mask },
-                1 => StrikeTarget::Fpu { mask, op_index: seed % 200 },
-                _ => StrikeTarget::RegisterFile { mask, op_index: seed % 97 },
-            };
-            let strike = StrikeSpec::new(at_tile, target);
-            engine
-                .warm_advance(kernel.as_mut(), &mut warm, at_tile)
-                .expect("advance");
-            let mut rng = StdRng::seed_from_u64(seed ^ at_tile as u64);
-            let fork = engine
-                .run_forked(kernel.as_mut(), &strike, &mut rng, &warm, &spans, &mut scratch)
-                .expect("forked run");
-            let dirty = fork.dirty.as_ref().expect("forked run has a dirty region");
-            let shape = kernel.logical_shape();
-            let dense = compare_slices(&golden.output, &fork.output, shape).expect("dense");
-            let sparse = compare_slices_sparse(&golden.output, &fork.output, shape, dirty)
-                .expect("sparse");
-            prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
-        }
+        let dirty = diff.dirty.as_ref().expect("resumed run has a dirty region");
+        let shape = kernel.logical_shape();
+        let dense = compare_slices(&golden.output, &full.output, shape).expect("dense");
+        let sparse =
+            compare_slices_sparse(&golden.output, &diff.output, shape, dirty).expect("sparse");
+        prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
     }
 }
 
@@ -303,18 +265,17 @@ fn killed_differential_campaign_resumes_to_an_identical_summary() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The batch scheduler is invisible to the science: records, the event
-/// stream's bytes, and the summary are bit-identical to the unbatched
-/// differential path and to full execution, across all three kernels.
+/// Differential execution is invisible to the science: records, the
+/// event stream's bytes, and the summary are bit-identical to full
+/// execution, across all three kernels.
 #[test]
-fn batched_campaigns_are_bit_identical_to_unbatched_across_kernels() {
+fn differential_campaigns_are_bit_identical_to_full_across_kernels() {
     for spec in kernels() {
         let campaign = Campaign::new(DeviceConfig::kepler_k40(), spec, 50, 7).with_workers(3);
-        let run = |no_batch: bool, full_execution: bool, tag: &str| {
-            let events = temp_path(&format!("batch-events-{tag}"));
+        let run = |full_execution: bool, tag: &str| {
+            let events = temp_path(&format!("diff-events-{tag}"));
             let result = campaign
                 .run_with(&RunOptions {
-                    no_batch,
                     full_execution,
                     events_out: Some(events.clone()),
                     events_sample: 1,
@@ -325,19 +286,11 @@ fn batched_campaigns_are_bit_identical_to_unbatched_across_kernels() {
             std::fs::remove_file(&events).ok();
             (result, stream)
         };
-        let (batched, batched_events) = run(false, false, "on");
-        let (unbatched, unbatched_events) = run(true, false, "off");
-        let (full, full_events) = run(false, true, "full");
-        assert_eq!(batched.records, unbatched.records, "{spec:?} records");
-        assert_eq!(batched.records, full.records, "{spec:?} records vs full");
-        assert_eq!(batched_events, unbatched_events, "{spec:?} event stream");
-        assert_eq!(batched_events, full_events, "{spec:?} events vs full");
-        assert_eq!(batched.summary(), unbatched.summary(), "{spec:?} summary");
-        assert_eq!(
-            batched.summary(),
-            full.summary(),
-            "{spec:?} summary vs full"
-        );
+        let (diff, diff_events) = run(false, "diff");
+        let (full, full_events) = run(true, "full");
+        assert_eq!(diff.records, full.records, "{spec:?} records vs full");
+        assert_eq!(diff_events, full_events, "{spec:?} events vs full");
+        assert_eq!(diff.summary(), full.summary(), "{spec:?} summary vs full");
     }
 }
 
@@ -410,79 +363,5 @@ fn checkpoint_resumes_across_executors() {
     assert!(resumed.is_complete());
     assert_eq!(resumed.records, reference.records);
     assert_eq!(resumed.summary(), reference.summary());
-    std::fs::remove_file(&path).ok();
-}
-
-/// Under the batch scheduler the checkpoint records completion out of
-/// plan order; kill → resume must still reconstruct the uninterrupted
-/// (and unbatched) summary bit for bit.
-#[test]
-fn killed_batched_campaign_resumes_out_of_plan_order_to_an_identical_summary() {
-    let campaign = Campaign::new(
-        DeviceConfig::kepler_k40(),
-        KernelSpec::Dgemm { n: 32 },
-        60,
-        7,
-    );
-
-    let uninterrupted = campaign.clone().with_workers(2).run().unwrap();
-    let unbatched = campaign
-        .clone()
-        .with_workers(2)
-        .run_with(&RunOptions {
-            no_batch: true,
-            ..RunOptions::default()
-        })
-        .unwrap();
-    assert_eq!(
-        uninterrupted.records, unbatched.records,
-        "the batch scheduler changed the science"
-    );
-
-    let path = temp_path("batched-kill-resume");
-    // One worker makes the checkpoint's line order deterministic: the
-    // bucket-sorted execution order. Budget truncation happens before
-    // the sort, so the completed *set* is still {0..25} — identical to
-    // an unbatched budget stop — while the *order* the checkpoint
-    // records completion in genuinely leaves plan order.
-    let partial = campaign
-        .clone()
-        .with_workers(1)
-        .run_with(&RunOptions {
-            checkpoint: Some(path.clone()),
-            budget: Some(25),
-            ..RunOptions::default()
-        })
-        .unwrap();
-    assert_eq!(partial.records.len(), 25);
-    let completed: Vec<usize> = partial.records.iter().map(|r| r.index).collect();
-    assert_eq!(
-        completed,
-        (0..25).collect::<Vec<_>>(),
-        "a batched budget stop must complete the same index subset as an unbatched one"
-    );
-    let checkpoint_order: Vec<u64> = std::fs::read_to_string(&path)
-        .unwrap()
-        .lines()
-        .filter_map(|l| {
-            let rest = l.strip_prefix("{\"i\":")?;
-            rest.split(|c: char| !c.is_ascii_digit())
-                .next()?
-                .parse()
-                .ok()
-        })
-        .collect();
-    assert_eq!(checkpoint_order.len(), 25, "one line per completed index");
-    let mut sorted = checkpoint_order.clone();
-    sorted.sort_unstable();
-    assert_ne!(
-        checkpoint_order, sorted,
-        "the checkpoint should record completion in bucket order, not plan order"
-    );
-
-    let resumed = campaign.with_workers(2).resume(&path).unwrap();
-    assert!(resumed.is_complete());
-    assert_eq!(resumed.records, uninterrupted.records);
-    assert_eq!(resumed.summary(), uninterrupted.summary());
     std::fs::remove_file(&path).ok();
 }

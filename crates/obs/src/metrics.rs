@@ -44,22 +44,6 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         help: "Firing edges of the alert rule named by the rule label since the evaluator started.",
     },
     MetricHelp {
-        name: "radcrit_bucket_advance_tiles_total",
-        kind: "counter",
-        help:
-            "Golden tiles replayed while advancing warm bucket states to a strike's resume point.",
-    },
-    MetricHelp {
-        name: "radcrit_bucket_forks_total",
-        kind: "counter",
-        help: "Per-strike executions forked off a warm bucket state.",
-    },
-    MetricHelp {
-        name: "radcrit_bucket_restores_total",
-        kind: "counter",
-        help: "Warm-bucket snapshot restores performed by the batch scheduler.",
-    },
-    MetricHelp {
         name: "radcrit_campaign_outcomes_total",
         kind: "counter",
         help: "Finished injections by outcome label (masked, sdc, crash, hang).",
@@ -73,11 +57,6 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         name: "radcrit_campaign_watchdog_hangs_total",
         kind: "counter",
         help: "Injections the watchdog declared hung and synthesized a record for.",
-    },
-    MetricHelp {
-        name: "radcrit_engine_forked_runs_total",
-        kind: "counter",
-        help: "Engine executions forked from a warm bucket state.",
     },
     MetricHelp {
         name: "radcrit_engine_phase_us",
@@ -168,7 +147,7 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         name: "radcrit_run_dead_strike_exits_total",
         kind: "counter",
         help:
-            "Forked runs ended early because the strike's corruption died before reaching output.",
+            "Injection runs ended early because the strike's corruption died before reaching output.",
     },
     MetricHelp {
         name: "radcrit_serve_jobs_submitted_total",
@@ -184,11 +163,6 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         name: "radcrit_serve_outstanding_jobs",
         kind: "gauge",
         help: "Jobs submitted but not yet terminal, sampled at scrape time.",
-    },
-    MetricHelp {
-        name: "radcrit_serve_queue_depth",
-        kind: "gauge",
-        help: "Jobs queued in the daemon (alias of radcrit_queue_depth), sampled at scrape time.",
     },
     MetricHelp {
         name: "radcrit_shard_covered",

@@ -2,9 +2,9 @@
 //! accumulation and merged profile trees.
 //!
 //! The profiler answers *where the injection-microseconds go*: a fixed
-//! registry of [`PhaseId`]s (golden execution, bucket restore, warm
-//! advance, fork, tile execution, cache access, bulk memory load/store,
-//! corruption scan, output compare, snapshot capture, checkpoint) is
+//! registry of [`PhaseId`]s (golden execution, fork, tile execution,
+//! cache access, bulk memory load/store, corruption scan, output
+//! compare, snapshot capture, checkpoint) is
 //! instrumented through the engine and campaign hot paths with
 //! [`phase`] scopes. Like the span/event API, it is **zero-cost when
 //! disabled**: [`phase`] reads one thread-local flag and returns `None`
@@ -39,7 +39,7 @@ use std::time::Instant;
 use crate::json::{self, Json};
 
 /// Number of phases in the fixed registry.
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 10;
 
 /// The fixed registry of profiled phases.
 ///
@@ -52,38 +52,31 @@ pub const PHASE_COUNT: usize = 12;
 pub enum PhaseId {
     /// Golden (fault-free) reference execution.
     Golden = 0,
-    /// Warm-bucket state restore from a snapshot (`Engine::warm_restore`).
-    BucketRestore = 1,
-    /// Golden tile replay advancing a warm state to the bucket's resume
-    /// point (`Engine::warm_advance`).
-    WarmAdvance = 2,
-    /// A forked per-strike execution off a warm bucket state
-    /// (`Engine::run_forked`), including its state copy.
-    Fork = 3,
+    /// One injection's execution from its resume point
+    /// (`Engine::run_injection`), including its state restore.
+    Fork = 1,
     /// One kernel tile body (`Program::execute_tile`).
-    TileExecute = 4,
+    TileExecute = 2,
     /// Cache-hierarchy access (way scan, fill, writeback collection).
-    CacheAccess = 5,
+    CacheAccess = 3,
     /// Bulk row load from simulated memory into tile registers.
-    MemLoad = 6,
+    MemLoad = 4,
     /// Bulk row store from tile registers into simulated memory.
-    MemStore = 7,
+    MemStore = 5,
     /// Scan for pending cache-line corruption overlapping an access.
-    CorruptionScan = 8,
+    CorruptionScan = 6,
     /// Faulty-vs-golden output comparison (dense or sparse).
-    Compare = 9,
+    Compare = 7,
     /// Golden-prefix snapshot capture during execution.
-    SnapshotCapture = 10,
+    SnapshotCapture = 8,
     /// Campaign checkpoint append.
-    Checkpoint = 11,
+    Checkpoint = 9,
 }
 
 impl PhaseId {
     /// Every phase, in registry order.
     pub const ALL: [PhaseId; PHASE_COUNT] = [
         PhaseId::Golden,
-        PhaseId::BucketRestore,
-        PhaseId::WarmAdvance,
         PhaseId::Fork,
         PhaseId::TileExecute,
         PhaseId::CacheAccess,
@@ -99,8 +92,6 @@ impl PhaseId {
     pub fn name(self) -> &'static str {
         match self {
             PhaseId::Golden => "golden",
-            PhaseId::BucketRestore => "bucket-restore",
-            PhaseId::WarmAdvance => "warm-advance",
             PhaseId::Fork => "fork",
             PhaseId::TileExecute => "tile-execute",
             PhaseId::CacheAccess => "cache-access",

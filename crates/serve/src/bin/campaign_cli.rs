@@ -64,7 +64,7 @@ const USAGE: &str =
        [--progress 5] [--summary-out summary.json]
        [--metrics-out metrics.json] [--events-out events.jsonl]
        [--events-sample 1] [--snapshot-stride 0] [--full-execution]
-       [--no-batch] [--scalar]
+       [--scalar]
        [--trace-out trace.json] [--profile-out profile.json]
    radcrit-campaign obs-report EVENTS_FILE
    radcrit-campaign obs-report flamegraph PROFILE_JSON
@@ -292,7 +292,6 @@ struct RunArgs {
     events_out: Option<PathBuf>,
     snapshot_stride: usize,
     full_execution: bool,
-    no_batch: bool,
     trace_out: Option<PathBuf>,
     profile_out: Option<PathBuf>,
 }
@@ -316,7 +315,6 @@ fn cmd_run(argv: &[String]) -> Result<(), ServeError> {
             "--events-out" => a.events_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             "--snapshot-stride" => a.snapshot_stride = parsed(&flag, &mut it)?,
             "--full-execution" => a.full_execution = true,
-            "--no-batch" => a.no_batch = true,
             "--trace-out" => a.trace_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             "--profile-out" => a.profile_out = Some(PathBuf::from(value(&flag, &mut it)?)),
             other => return Err(config(format!("unknown flag {other}"))),
@@ -354,7 +352,6 @@ fn cmd_run(argv: &[String]) -> Result<(), ServeError> {
         events_sample: spec.events_sample,
         snapshot_stride: a.snapshot_stride,
         full_execution: a.full_execution,
-        no_batch: a.no_batch,
         force_scalar: spec.force_scalar,
         trace_out: a.trace_out.clone(),
         profile_out: a.profile_out.clone(),

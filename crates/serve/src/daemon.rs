@@ -1034,7 +1034,6 @@ fn get_metrics(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeErro
         &[],
         pool.saturating_sub(busy) as f64,
     );
-    m.gauge_set("radcrit_serve_queue_depth", &[], queued as f64);
     m.gauge_set(
         "radcrit_serve_outstanding_jobs",
         &[],

@@ -15,8 +15,8 @@
 //!   spatial-class breakdown,
 //! * polls `GET /alerts` for the health-rules panel (firing rules in
 //!   red with their message, quiet rules collapsed to one line),
-//! * polls `GET /metrics` for the batching-efficiency row (bucket
-//!   restores vs forks, dead-strike early exits) and `GET /profile`
+//! * polls `GET /metrics` for the differential-execution row (snapshot
+//!   resumed runs, dead-strike early exits) and `GET /profile`
 //!   for the daemon-wide hot-phases panel (top self-time phases of the
 //!   merged hierarchical profile),
 //! * stops cleanly when the stream sends its `end` frame and the fold
@@ -78,8 +78,8 @@ pub const DASHBOARD_HTML: &str = r#"<!doctype html>
 <h2>Alerts</h2>
 <p class="mono" id="alerts"><span class="muted">&ndash;</span></p>
 
-<h2>Batching</h2>
-<p class="mono muted" id="batching">&ndash;</p>
+<h2>Differential execution</h2>
+<p class="mono muted" id="differential">&ndash;</p>
 
 <h2>Hot phases <span class="muted">(self time, daemon-wide)</span></h2>
 <table><thead><tr><th>phase</th><th>self</th><th>calls</th></tr></thead>
@@ -151,13 +151,10 @@ const us = ns => (ns / 1000).toLocaleString("en-US", {maximumFractionDigits: 0})
 async function pollDaemon() {
   try {
     const m = parseProm(await (await fetch("/metrics")).text());
-    const restores = m.radcrit_bucket_restores_total || 0;
-    const forks = m.radcrit_bucket_forks_total || 0;
+    const resumed = m.radcrit_engine_resumed_runs_total || 0;
     const dead = m.radcrit_run_dead_strike_exits_total || 0;
-    $("batching").textContent =
-      `${restores} bucket restores · ${forks} forks ` +
-      `(${restores ? (forks / restores).toFixed(1) : "–"} forks/restore) · ` +
-      `${dead} dead-strike early exits`;
+    $("differential").textContent =
+      `${resumed} snapshot-resumed runs · ${dead} dead-strike early exits`;
   } catch (e) { /* daemon restarting */ }
   try {
     const a = await (await fetch("/alerts")).json();
