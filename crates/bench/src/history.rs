@@ -15,6 +15,7 @@
 use std::path::Path;
 
 use radcrit_obs::json::{self, Json};
+use radcrit_obs::jsonl::{AppendLog, OpenError};
 
 /// Fractional slowdown versus the committed baseline that fails the
 /// gate: a rate below `baseline * (1 - 0.10)` is a regression.
@@ -105,22 +106,20 @@ impl HistoryRow {
     }
 }
 
-/// Appends `rows` to the history file (created when missing).
+/// Appends `rows` to the history file (created when missing, torn tail cut).
 ///
 /// # Errors
 ///
 /// A message wrapping the I/O failure.
 pub fn append_rows(path: &Path, rows: &[HistoryRow]) -> Result<(), String> {
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    for row in rows {
-        writeln!(f, "{}", row.to_json_line()).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-    Ok(())
+    let append = || -> Result<(), OpenError> {
+        let mut log = AppendLog::open(path, |_| Ok(()))?;
+        for row in rows {
+            log.write_line(&row.to_json_line())?;
+        }
+        Ok(log.flush()?)
+    };
+    append().map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Reads every parseable row of a history file (missing file → empty).

@@ -20,16 +20,14 @@
 //! `inf` and `NaN` appear verbatim — a deliberate deviation from strict
 //! JSON (infinite mean relative errors are real data here, see
 //! [`radcrit_core::mismatch::Mismatch::relative_error`]) that keeps the
-//! codec lossless. A truncated final line (the kill race) is tolerated
-//! on read; any other malformed line is [`AccelError::Corrupt`].
+//! codec lossless. Recovery follows [`radcrit_obs::jsonl`]: a torn final
+//! line (the kill race) is cut; other damage is [`AccelError::Corrupt`].
 //!
 //! The codec itself lives in [`radcrit_obs::json`], shared with the
 //! event-stream and metrics writers; this module only defines the
 //! checkpoint line formats on top of it.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
@@ -40,6 +38,7 @@ use radcrit_obs::json::{
     as_obj, escape, fmt_f64, fmt_opt_f64, get, get_bool, get_f64, get_opt_f64, get_opt_usize,
     get_str, get_usize, parse_line, Json,
 };
+use radcrit_obs::jsonl::{self, AppendLog};
 
 use crate::config::Campaign;
 use crate::outcome::{InjectionOutcome, InjectionRecord, SdcDetail};
@@ -146,63 +145,61 @@ fn corrupt(path: &Path, msg: impl std::fmt::Display) -> AccelError {
     AccelError::Corrupt(format!("checkpoint {}: {msg}", path.display()))
 }
 
-/// Reads and validates the records of `path` against `campaign`.
+/// Folds one checkpoint line: the header first (`seen` stays `None`
+/// until it matched `campaign`), then records into `records`, the first
+/// occurrence of an index winning.
+fn fold_line(
+    campaign: &Campaign,
+    seen: &mut Option<HashSet<usize>>,
+    records: &mut Vec<InjectionRecord>,
+    line: &str,
+) -> Result<(), String> {
+    let line = line.trim();
+    let Some(seen) = seen else {
+        if line != header_line(campaign) {
+            parse_line(line).map_err(|e| format!("bad header: {e}"))?;
+            return Err(
+                "header does not match this campaign (kernel, device, injections, \
+                 seed or threshold differ)"
+                    .to_owned(),
+            );
+        }
+        *seen = Some(HashSet::new());
+        return Ok(());
+    };
+    let r = parse_line(line).and_then(|v| record_from_json(&v))?;
+    if r.index >= campaign.injections {
+        return Err(format!(
+            "record index {} out of range for {} injections",
+            r.index, campaign.injections
+        ));
+    }
+    if seen.insert(r.index) {
+        records.push(r);
+    }
+    Ok(())
+}
+
+/// Reads and validates the records of `path` against `campaign`,
+/// without modifying the file.
 ///
-/// Tolerates a truncated final line (a campaign killed mid-write) and
-/// duplicate indices (first occurrence wins); anything else malformed is
+/// Ignores a torn final line (a campaign killed mid-write) and keeps
+/// the first record of a duplicated index; anything else malformed is
 /// an error.
 ///
 /// # Errors
 ///
-/// [`AccelError::Corrupt`] when the file is unreadable, its header does
-/// not match `campaign`, or a non-final line fails to parse.
+/// [`AccelError::Corrupt`] when the file is unreadable, has no header,
+/// its header does not match `campaign`, or a complete line fails to
+/// parse.
 pub fn read_records(path: &Path, campaign: &Campaign) -> Result<Vec<InjectionRecord>, AccelError> {
-    let text = std::fs::read_to_string(path).map_err(|e| corrupt(path, e))?;
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    let Some(&(_, header)) = lines.first() else {
+    let (mut seen, mut records) = (None, Vec::new());
+    jsonl::replay(path, |line| {
+        fold_line(campaign, &mut seen, &mut records, line)
+    })
+    .map_err(|e| corrupt(path, e))?;
+    if seen.is_none() {
         return Err(corrupt(path, "empty file (missing header)"));
-    };
-    if header.trim() != header_line(campaign) {
-        parse_line(header.trim()).map_err(|e| corrupt(path, format!("bad header: {e}")))?;
-        return Err(corrupt(
-            path,
-            "header does not match this campaign (kernel, device, injections, seed or threshold \
-             differ)",
-        ));
-    }
-
-    let mut records = Vec::new();
-    let mut seen: HashSet<usize> = HashSet::new();
-    let last = lines.len() - 1;
-    for (pos, &(lineno, line)) in lines.iter().enumerate().skip(1) {
-        let parsed = parse_line(line.trim()).and_then(|v| record_from_json(&v));
-        match parsed {
-            Ok(r) => {
-                if r.index >= campaign.injections {
-                    return Err(corrupt(
-                        path,
-                        format!(
-                            "line {}: record index {} out of range for {} injections",
-                            lineno + 1,
-                            r.index,
-                            campaign.injections
-                        ),
-                    ));
-                }
-                if seen.insert(r.index) {
-                    records.push(r);
-                }
-            }
-            // The last line may be a torn write from a killed campaign.
-            Err(_) if pos == last => break,
-            Err(e) => {
-                return Err(corrupt(path, format!("line {}: {e}", lineno + 1)));
-            }
-        }
     }
     Ok(records)
 }
@@ -210,7 +207,7 @@ pub fn read_records(path: &Path, campaign: &Campaign) -> Result<Vec<InjectionRec
 /// An append-only checkpoint writer that flushes every record.
 #[derive(Debug)]
 pub struct CheckpointWriter {
-    out: BufWriter<File>,
+    log: AppendLog,
     path: PathBuf,
 }
 
@@ -222,42 +219,41 @@ impl CheckpointWriter {
     ///
     /// [`AccelError::Corrupt`] on I/O failure.
     pub fn create(path: &Path, campaign: &Campaign) -> Result<Self, AccelError> {
-        let file = File::create(path).map_err(|e| corrupt(path, e))?;
         let mut w = CheckpointWriter {
-            out: BufWriter::new(file),
+            log: AppendLog::create(path).map_err(|e| corrupt(path, e))?,
             path: path.to_owned(),
         };
         w.write_line(&header_line(campaign))?;
         Ok(w)
     }
 
-    /// Opens `path` for resumption: replays its records (empty when the
-    /// file does not exist yet, in which case it is created) and returns
-    /// a writer positioned to append.
+    /// Opens `path` for resumption: replays its records, cuts a torn
+    /// tail, and returns a writer positioned to append. A file with no
+    /// complete header line (missing, or killed while being created)
+    /// starts fresh.
     ///
     /// # Errors
     ///
-    /// [`AccelError::Corrupt`] on I/O failure or when the checkpoint
-    /// belongs to a different campaign.
+    /// [`AccelError::Corrupt`] on I/O failure, when the checkpoint
+    /// belongs to a different campaign, or when a complete line fails
+    /// to parse.
     pub fn resume(
         path: &Path,
         campaign: &Campaign,
     ) -> Result<(Self, Vec<InjectionRecord>), AccelError> {
-        if !path.exists() {
-            return Ok((Self::create(path, campaign)?, Vec::new()));
+        let (mut seen, mut records) = (None, Vec::new());
+        let log = AppendLog::open(path, |line| {
+            fold_line(campaign, &mut seen, &mut records, line)
+        })
+        .map_err(|e| corrupt(path, e))?;
+        let mut w = CheckpointWriter {
+            log,
+            path: path.to_owned(),
+        };
+        if seen.is_none() {
+            w.write_line(&header_line(campaign))?;
         }
-        let records = read_records(path, campaign)?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| corrupt(path, e))?;
-        Ok((
-            CheckpointWriter {
-                out: BufWriter::new(file),
-                path: path.to_owned(),
-            },
-            records,
-        ))
+        Ok((w, records))
     }
 
     /// Appends one record and flushes it to the OS.
@@ -266,18 +262,11 @@ impl CheckpointWriter {
     ///
     /// [`AccelError::Corrupt`] on I/O failure.
     pub fn append(&mut self, record: &InjectionRecord) -> Result<(), AccelError> {
-        let line = record_line(record);
-        self.write_line(&line)
+        self.write_line(&record_line(record))
     }
 
     fn write_line(&mut self, line: &str) -> Result<(), AccelError> {
-        let path = self.path.clone();
-        (|| {
-            self.out.write_all(line.as_bytes())?;
-            self.out.write_all(b"\n")?;
-            self.out.flush()
-        })()
-        .map_err(|e| corrupt(&path, e))
+        self.log.append(line).map_err(|e| corrupt(&self.path, e))
     }
 }
 
@@ -286,6 +275,7 @@ mod tests {
     use super::*;
     use crate::config::KernelSpec;
     use radcrit_accel::config::DeviceConfig;
+    use std::fs::OpenOptions;
 
     fn campaign() -> Campaign {
         Campaign::new(
@@ -384,6 +374,42 @@ mod tests {
         }
         let read = read_records(&path, &c).unwrap();
         assert_eq!(read, records);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_byte_offset_resumes_to_the_complete_line_prefix() {
+        let c = campaign();
+        let path = std::env::temp_dir().join(format!(
+            "radcrit-checkpoint-offsets-{}.jsonl",
+            std::process::id()
+        ));
+        let records = vec![
+            sdc_record(0, Some(3.5)),
+            sdc_record(4, None),
+            sdc_record(2, Some(f64::INFINITY)),
+        ];
+        let mut w = CheckpointWriter::create(&path, &c).unwrap();
+        for r in &records {
+            w.append(r).unwrap();
+        }
+        drop(w);
+        let full = std::fs::read(&path).unwrap();
+        let extra = sdc_record(9, Some(0.5));
+        for k in 0..=full.len() {
+            std::fs::write(&path, &full[..k]).unwrap();
+            // Complete lines in the prefix, the first being the header.
+            let complete = full[..k].iter().filter(|&&b| b == b'\n').count();
+            let expected = records[..complete.saturating_sub(1)].to_vec();
+            let (mut w, replayed) = CheckpointWriter::resume(&path, &c).unwrap();
+            assert_eq!(replayed, expected, "cut at byte {k}");
+            w.append(&extra).unwrap();
+            drop(w);
+            let (_, replayed) = CheckpointWriter::resume(&path, &c).unwrap();
+            let mut with_extra = expected;
+            with_extra.push(extra.clone());
+            assert_eq!(replayed, with_extra, "reopen after cut at byte {k}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -68,6 +68,51 @@ fn killed_campaign_resumes_to_an_identical_summary() {
 }
 
 #[test]
+fn a_checkpoint_cut_mid_line_survives_two_resumes() {
+    let campaign = dgemm_campaign();
+    let path = temp_path("double-resume");
+    let uninterrupted = campaign
+        .run_with(&RunOptions {
+            checkpoint: Some(path.clone()),
+            ..RunOptions::default()
+        })
+        .unwrap();
+    let full = std::fs::read(&path).unwrap();
+    let cut = full.len() / 2;
+    assert_ne!(full[cut - 1], b'\n', "the cut must land mid-line");
+    std::fs::write(&path, &full[..cut]).unwrap();
+
+    // The first resume re-runs the cut records; the second replays the
+    // file the first one left — which must still be well formed.
+    for pass in ["first", "second"] {
+        let resumed = campaign
+            .resume(&path)
+            .unwrap_or_else(|e| panic!("{pass} resume failed: {e}"));
+        assert!(resumed.is_complete(), "{pass} resume");
+        assert_eq!(resumed.records, uninterrupted.records, "{pass} resume");
+        assert_eq!(
+            resumed.summary().to_json(),
+            uninterrupted.summary().to_json(),
+            "{pass} resume"
+        );
+    }
+    // Every index is in the file exactly once: nothing lost to the cut,
+    // nothing duplicated by the re-run.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut indices: Vec<usize> = text
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let v = radcrit_obs::json::parse_line(line).unwrap();
+            radcrit_obs::json::get_usize(radcrit_obs::json::as_obj(&v).unwrap(), "i").unwrap()
+        })
+        .collect();
+    indices.sort_unstable();
+    assert_eq!(indices, (0..campaign.injections).collect::<Vec<_>>());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn resume_rejects_a_checkpoint_from_another_campaign() {
     let path = temp_path("mismatch");
     dgemm_campaign()

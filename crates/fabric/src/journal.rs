@@ -2,18 +2,17 @@
 //!
 //! Append-only JSONL, mirroring the daemon's job journal: a versioned
 //! header line pinning the campaign, then one record per shard state
-//! transition, each flushed before the transition is acted on. On open,
-//! a torn final line (the coordinator died mid-append) is truncated
-//! away and the surviving lines replay to the latest state per shard —
-//! so a restarted coordinator knows which shards were dispatched where
-//! and which completed, and can resume tailing / re-dispatch the rest.
+//! transition, each flushed before the transition is acted on. On open
+//! the file is recovered through [`radcrit_obs::jsonl`] and the
+//! surviving lines replay to the latest state per shard — so a
+//! restarted coordinator knows which shards were dispatched where and
+//! which completed, and can resume tailing / re-dispatch the rest.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use radcrit_obs::json::{self, escape};
+use radcrit_obs::jsonl::AppendLog;
 
 /// Journal format version, written in the header line.
 pub const FABRIC_JOURNAL_VERSION: u64 = 1;
@@ -102,7 +101,7 @@ impl ShardRecord {
 /// The append-only shard journal.
 #[derive(Debug)]
 pub struct FabricJournal {
-    out: BufWriter<File>,
+    log: AppendLog,
 }
 
 impl FabricJournal {
@@ -116,91 +115,44 @@ impl FabricJournal {
     /// `planned_shards` — so a restarted coordinator re-derives exactly
     /// the split it first journaled even if the shard-count flag
     /// changed, and replayed records always line up with the plan by
-    /// ordinal. A torn final line is truncated; a journal written for a
-    /// *different* campaign is an error — re-dispatching another
-    /// campaign's shards would corrupt both.
+    /// ordinal. A torn final line is cut; a damaged complete line is an
+    /// error, and so is a journal written for a *different* campaign —
+    /// re-dispatching another campaign's shards would corrupt both.
     ///
     /// # Errors
     ///
-    /// I/O failures, a bad header, or a campaign mismatch.
+    /// I/O failures, a bad header or record line, or a campaign mismatch.
     pub fn open(
         path: &Path,
         campaign_json: &str,
         planned_shards: usize,
     ) -> Result<(Self, usize, Vec<ShardRecord>), String> {
-        let mut text = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        }
-
         let mut latest: BTreeMap<usize, ShardRecord> = BTreeMap::new();
-        let mut valid_len = 0usize;
-        let mut saw_header = false;
-        let mut shards = planned_shards;
-        for line in text.split_inclusive('\n') {
-            let Some(body) = line.strip_suffix('\n') else {
-                break; // torn final line: the append died mid-write
-            };
-            if !saw_header {
-                let v = json::parse_line(body).map_err(|e| format!("journal header: {e}"))?;
-                let obj = json::as_obj(&v).map_err(|e| format!("journal header: {e}"))?;
-                let version = json::get_usize(obj, "radcrit_fabric_journal")
-                    .map_err(|e| format!("journal header: {e}"))?;
-                if version as u64 != FABRIC_JOURNAL_VERSION {
-                    return Err(format!("unsupported fabric journal version {version}"));
-                }
-                let stored =
-                    json::get_str(obj, "campaign").map_err(|e| format!("journal header: {e}"))?;
-                if stored != campaign_json {
-                    return Err(format!(
-                        "journal {} belongs to a different campaign",
-                        path.display()
-                    ));
-                }
-                shards =
-                    json::get_usize(obj, "shards").map_err(|e| format!("journal header: {e}"))?;
-                saw_header = true;
-                valid_len += line.len();
-                continue;
+        let mut shards = None;
+        let mut log = AppendLog::open(path, |line| {
+            if shards.is_none() {
+                shards = Some(parse_header(line, campaign_json)?);
+            } else {
+                let rec = ShardRecord::parse(line)?;
+                latest.insert(rec.shard, rec);
             }
-            match ShardRecord::parse(body) {
-                Ok(rec) => {
-                    latest.insert(rec.shard, rec);
-                    valid_len += line.len();
-                }
-                Err(_) => break, // torn mid-file write; drop the tail
-            }
+            Ok(())
+        })
+        .map_err(|e| format!("journal {}: {e}", path.display()))?;
+        if shards.is_none() {
+            log.append(&format!(
+                "{{\"radcrit_fabric_journal\":{FABRIC_JOURNAL_VERSION},\
+                 \"campaign\":\"{}\",\"shards\":{planned_shards}}}",
+                escape(campaign_json)
+            ))
+            .map_err(|e| format!("journal {}: {e}", path.display()))?;
         }
-
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        file.set_len(valid_len as u64)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        file.seek(SeekFrom::Start(valid_len as u64))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        let mut journal = FabricJournal {
-            out: BufWriter::new(file),
-        };
-        if !saw_header {
-            journal
-                .write_line(&format!(
-                    "{{\"radcrit_fabric_journal\":{FABRIC_JOURNAL_VERSION},\
-                     \"campaign\":\"{}\",\"shards\":{planned_shards}}}",
-                    escape(campaign_json)
-                ))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-        }
-        Ok((journal, shards, latest.into_values().collect()))
+        let shards = shards.unwrap_or(planned_shards);
+        Ok((
+            FabricJournal { log },
+            shards,
+            latest.into_values().collect(),
+        ))
     }
 
     /// Appends one shard transition, flushed to the OS before return —
@@ -210,19 +162,30 @@ impl FabricJournal {
     ///
     /// Any I/O error writing or flushing.
     pub fn append(&mut self, record: &ShardRecord) -> std::io::Result<()> {
-        self.write_line(&record.render())
+        self.log.append(&record.render())
     }
+}
 
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.out.write_all(line.as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.out.flush()
+/// Checks a journal header against `campaign_json` and returns the
+/// shard count it pinned.
+fn parse_header(line: &str, campaign_json: &str) -> Result<usize, String> {
+    let header = |e: String| format!("bad header: {e}");
+    let v = json::parse_line(line).map_err(header)?;
+    let obj = json::as_obj(&v).map_err(header)?;
+    let version = json::get_usize(obj, "radcrit_fabric_journal").map_err(header)?;
+    if version as u64 != FABRIC_JOURNAL_VERSION {
+        return Err(format!("unsupported fabric journal version {version}"));
     }
+    if json::get_str(obj, "campaign").map_err(header)? != campaign_json {
+        return Err("belongs to a different campaign".into());
+    }
+    json::get_usize(obj, "shards").map_err(header)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     const CAMPAIGN: &str = r#"{"spec":1,"kernel":"dgemm","n":32,"injections":40,"seed":23}"#;
@@ -290,6 +253,69 @@ mod tests {
         drop(j);
         let (_, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
         assert_eq!(replayed.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_byte_offset_reopens_to_the_complete_line_prefix() {
+        let path = temp_path("offsets");
+        let written = [
+            rec(0, ShardState::Dispatched, "a:1", 0),
+            rec(1, ShardState::Dispatched, "b:2", 10),
+            rec(0, ShardState::Completed, "a:1", 10),
+        ];
+        {
+            let (mut j, _, _) = FabricJournal::open(&path, CAMPAIGN, 3).unwrap();
+            for r in &written {
+                j.append(r).unwrap();
+            }
+        }
+        let latest = |records: &[ShardRecord]| {
+            let mut by_shard = BTreeMap::new();
+            for r in records {
+                by_shard.insert(r.shard, r.clone());
+            }
+            by_shard.into_values().collect::<Vec<_>>()
+        };
+        let extra = rec(2, ShardState::Dispatched, "c:3", 20);
+        let full = std::fs::read(&path).unwrap();
+        for k in 0..=full.len() {
+            std::fs::write(&path, &full[..k]).unwrap();
+            // Complete lines in the prefix, the first being the header.
+            let complete = full[..k].iter().filter(|&&b| b == b'\n').count();
+            let prefix = &written[..complete.saturating_sub(1)];
+            let (mut j, shards, replayed) = FabricJournal::open(&path, CAMPAIGN, 3).unwrap();
+            assert_eq!(shards, 3, "cut at byte {k}");
+            assert_eq!(replayed, latest(prefix), "cut at byte {k}");
+            j.append(&extra).unwrap();
+            drop(j);
+            let (_, _, replayed) = FabricJournal::open(&path, CAMPAIGN, 3).unwrap();
+            let mut with_extra = prefix.to_vec();
+            with_extra.push(extra.clone());
+            assert_eq!(
+                replayed,
+                latest(&with_extra),
+                "reopen after cut at byte {k}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_damaged_complete_line_fails_the_open() {
+        let path = temp_path("damaged");
+        {
+            let (mut j, _, _) = FabricJournal::open(&path, CAMPAIGN, 2).unwrap();
+            j.append(&rec(0, ShardState::Dispatched, "a:1", 0)).unwrap();
+        }
+        {
+            use std::io::Write as _;
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(b"{\"shard\":1,\"start\":10,\"en\n").unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        assert!(FabricJournal::open(&path, CAMPAIGN, 2).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before, "left untouched");
         std::fs::remove_file(&path).ok();
     }
 

@@ -12,7 +12,7 @@
 //!
 //! Fault tolerance is journal + heartbeat shaped: the
 //! [`FabricJournal`] records every shard assignment, re-dispatch and
-//! completion (append-only JSONL, torn-tail tolerant, mirroring the
+//! completion (append-only JSONL over [`radcrit_obs::jsonl`], like the
 //! daemon's job journal), and the [`WorkerRegistry`] tracks heartbeat
 //! recency so a dead worker's shards can be re-dispatched — from the
 //! merged stream's *covered frontier*, not from scratch, because the

@@ -13,11 +13,10 @@
 //! worker that produced them.
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use radcrit_obs::event::parse_event_line;
+use radcrit_obs::jsonl::AppendLog;
 use radcrit_obs::CriticalityAggregator;
 
 /// What [`MergedStream::ingest_line`] did with a line.
@@ -41,83 +40,48 @@ pub struct MergedStream {
     agg: CriticalityAggregator,
     covered: HashSet<u64>,
     total: u64,
-    out: Option<BufWriter<File>>,
+    out: Option<AppendLog>,
     header_written: bool,
     end_written: bool,
 }
 
 impl MergedStream {
-    /// A fresh merge of a campaign with `total` injections, writing the
-    /// merged skeleton to `out` when given (truncating any previous
-    /// file there).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the output file.
-    pub fn create(total: u64, out: Option<&Path>) -> std::io::Result<Self> {
-        let out = match out {
-            Some(path) => Some(BufWriter::new(File::create(path)?)),
-            None => None,
-        };
-        Ok(MergedStream {
-            agg: CriticalityAggregator::new(),
-            covered: HashSet::new(),
-            total,
-            out,
-            header_written: false,
-            end_written: false,
-        })
-    }
-
-    /// Reopens an existing merged file (a coordinator restart): every
-    /// complete line is re-ingested — recovering the covered set and
-    /// the aggregate — and a torn final line is truncated away before
-    /// appending resumes.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, or merged lines that no longer parse as events.
-    pub fn resume(total: u64, path: &Path) -> Result<Self, String> {
-        let mut text = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        }
-        let mut merged = MergedStream {
+    /// An in-memory merge of a campaign with `total` injections.
+    fn new(total: u64) -> Self {
+        MergedStream {
             agg: CriticalityAggregator::new(),
             covered: HashSet::new(),
             total,
             out: None,
             header_written: false,
             end_written: false,
-        };
-        let mut valid_len = 0usize;
-        for line in text.split_inclusive('\n') {
-            let Some(body) = line.strip_suffix('\n') else {
-                break;
-            };
-            merged.ingest_line(body)?;
-            valid_len += line.len();
         }
+    }
+
+    /// Opens the merged file at `path`, empty for a fresh coordinator or
+    /// left by a previous one: the file is recovered through
+    /// [`AppendLog::open`], every complete line is re-ingested —
+    /// recovering the covered set and the aggregate — and appending
+    /// resumes after the last complete line.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or merged lines that no longer parse as events.
+    pub fn resume(total: u64, path: &Path) -> Result<Self, String> {
+        let mut merged = Self::new(total);
+        let log = AppendLog::open(path, |line| {
+            // `ingest_line` skips `run_end` as a shard trailer; here it
+            // is this file's own synthesized trailer.
+            if parse_event_line(line).is_ok_and(|e| e.kind == "run_end") {
+                merged.agg.fold_line(line)
+            } else {
+                merged.ingest_line(line).map(drop)
+            }
+        })
+        .map_err(|e| format!("{}: {e}", path.display()))?;
         // A resumed file may already carry the synthesized run_end.
         merged.end_written = merged.agg.is_finished();
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        file.set_len(valid_len as u64)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        use std::io::{Seek, SeekFrom};
-        let mut file = file;
-        file.seek(SeekFrom::Start(valid_len as u64))
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        merged.out = Some(BufWriter::new(file));
+        merged.out = Some(log);
         Ok(merged)
     }
 
@@ -193,8 +157,7 @@ impl MergedStream {
 
     fn write_line(&mut self, line: &str) -> Result<(), String> {
         if let Some(out) = self.out.as_mut() {
-            out.write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
+            out.write_line(line)
                 .map_err(|e| format!("merged stream: {e}"))?;
         }
         Ok(())
@@ -240,6 +203,8 @@ impl MergedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -264,7 +229,7 @@ mod tests {
     #[test]
     fn redelivery_is_idempotent_and_completion_synthesizes_run_end() {
         let path = temp_path("idem");
-        let mut m = MergedStream::create(3, Some(&path)).unwrap();
+        let mut m = MergedStream::resume(3, &path).unwrap();
         assert_eq!(m.ingest_line(HEADER).unwrap(), IngestOutcome::Header);
         assert_eq!(
             m.ingest_line(&prov(0, "MASKED")).unwrap(),
@@ -297,7 +262,7 @@ mod tests {
 
     #[test]
     fn shard_run_end_trailers_are_not_campaign_end() {
-        let mut m = MergedStream::create(2, None).unwrap();
+        let mut m = MergedStream::new(2);
         m.ingest_line(HEADER).unwrap();
         m.ingest_line(&prov(0, "MASKED")).unwrap();
         assert_eq!(
@@ -316,7 +281,7 @@ mod tests {
     fn resume_recovers_coverage_and_truncates_torn_tail() {
         let path = temp_path("resume");
         {
-            let mut m = MergedStream::create(3, Some(&path)).unwrap();
+            let mut m = MergedStream::resume(3, &path).unwrap();
             m.ingest_line(HEADER).unwrap();
             m.ingest_line(&prov(0, "MASKED")).unwrap();
             m.finish_if_complete().unwrap();
@@ -339,8 +304,55 @@ mod tests {
     }
 
     #[test]
+    fn every_byte_offset_resumes_to_the_complete_line_prefix() {
+        let path = temp_path("offsets");
+        let written = [
+            HEADER.to_owned(),
+            prov(0, "MASKED"),
+            prov(1, "CRASH"),
+            prov(2, "SDC"),
+        ];
+        {
+            let mut m = MergedStream::resume(4, &path).unwrap();
+            for line in &written {
+                m.ingest_line(line).unwrap();
+            }
+            m.finish_if_complete().unwrap();
+        }
+        // The observable state: coverage per index and the fold's counts.
+        let state = |m: &MergedStream| {
+            let a = m.aggregator();
+            let covered: Vec<bool> = (0..4).map(|i| m.is_covered(i)).collect();
+            (covered, a.masked(), a.sdc(), a.crash(), a.is_finished())
+        };
+        let full = std::fs::read(&path).unwrap();
+        for k in 0..=full.len() {
+            std::fs::write(&path, &full[..k]).unwrap();
+            let complete = full[..k].iter().filter(|&&b| b == b'\n').count();
+            let mut expected = MergedStream::new(4);
+            for line in &written[..complete] {
+                expected.ingest_line(line).unwrap();
+            }
+            let mut m = MergedStream::resume(4, &path).unwrap();
+            assert_eq!(state(&m), state(&expected), "cut at byte {k}");
+            m.ingest_line(&prov(3, "MASKED")).unwrap();
+            m.finish_if_complete().unwrap();
+            drop(m);
+            expected.ingest_line(&prov(3, "MASKED")).unwrap();
+            expected.finish_if_complete().unwrap();
+            let mut m = MergedStream::resume(4, &path).unwrap();
+            assert_eq!(state(&m), state(&expected), "reopen after cut at byte {k}");
+            // A finished file is not finished twice.
+            m.finish_if_complete().unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.matches("run_end").count() <= 1, "{text}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn covered_in_counts_per_shard_progress() {
-        let mut m = MergedStream::create(10, None).unwrap();
+        let mut m = MergedStream::new(10);
         for i in [0u64, 1, 2, 7] {
             m.ingest_line(&prov(i, "MASKED")).unwrap();
         }

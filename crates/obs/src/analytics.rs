@@ -534,8 +534,8 @@ impl CriticalityAggregator {
 
     /// Folds a whole events JSONL file.
     ///
-    /// Only newline-terminated lines are folded — the same framing rule
-    /// the SSE tailer applies — so a file caught mid-write (its final
+    /// Only complete lines are folded ([`crate::jsonl`] framing, which
+    /// the SSE tailer applies too), so a file caught mid-write (its final
     /// line torn, whether or not the fragment happens to parse as JSON)
     /// folds exactly like the stream a live tailer would have seen.
     ///
@@ -543,15 +543,11 @@ impl CriticalityAggregator {
     ///
     /// I/O errors, or a malformed terminal event (with its line number).
     pub fn from_events_path(path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let mut agg = Self::new();
-        for (lineno, line) in text.split_inclusive('\n').enumerate() {
-            let Some(body) = line.strip_suffix('\n') else {
-                break; // torn final line: still being written, skip it
-            };
-            agg.fold_line(body.strip_suffix('\r').unwrap_or(body))
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        }
+        crate::jsonl::replay(path, |line| {
+            agg.fold_line(line.strip_suffix('\r').unwrap_or(line))
+        })
+        .map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(agg)
     }
 }

@@ -54,7 +54,9 @@
 //! [`json`] is the shared minimal JSON codec (also used by the campaign
 //! checkpoint format): floats use Rust's shortest round-trip formatting,
 //! so `inf`/`NaN` appear verbatim — a deliberate deviation from strict
-//! JSON that keeps infinite relative errors lossless.
+//! JSON that keeps infinite relative errors lossless. [`jsonl`] is the
+//! shared crash-consistent append log every line-oriented durable file
+//! is written and recovered through.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -64,6 +66,7 @@ pub mod analytics;
 pub mod event;
 pub mod hist;
 pub mod json;
+pub mod jsonl;
 pub mod metrics;
 pub mod profile;
 pub mod provenance;

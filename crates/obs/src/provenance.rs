@@ -215,26 +215,24 @@ impl ProvenanceBreakdown {
         }
     }
 
-    /// Builds a breakdown by scanning an events JSONL file for
-    /// `provenance` events, skipping non-provenance lines.
+    /// Builds a breakdown by scanning the complete lines of an events
+    /// JSONL file ([`crate::jsonl`] framing) for `provenance` events,
+    /// skipping every other line.
     ///
     /// # Errors
     ///
     /// I/O errors, or a malformed provenance event (reported with its
     /// line number).
     pub fn from_events_path(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let mut out = Self::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let Ok(event) = parse_event_line(line) else {
-                continue; // torn tail line; writer tolerates it on resume
-            };
-            if event.kind == "provenance" {
-                let rec = ProvenanceRecord::from_event(&event)
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                out.add(&rec);
+        crate::jsonl::replay(path, |line| match parse_event_line(line) {
+            Ok(event) if event.kind == "provenance" => {
+                out.add(&ProvenanceRecord::from_event(&event)?);
+                Ok(())
             }
-        }
+            _ => Ok(()),
+        })
+        .map_err(|e| format!("{}: {e}", path.display()))?;
         Ok(out)
     }
 

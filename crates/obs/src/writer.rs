@@ -8,22 +8,21 @@
 //! strict index order — so a fixed-seed campaign produces a
 //! byte-identical stream no matter how many workers ran it.
 //!
-//! On resume the writer re-reads the existing stream, tolerates a torn
-//! final line (truncating it away), and reports which injection indices
-//! were already emitted so the campaign can skip them — no duplicated
-//! and no missing indices across kill/resume cycles.
+//! On resume the writer recovers the stream through
+//! [`crate::jsonl::AppendLog`] and reports which injection indices were
+//! already emitted so the campaign can skip them — no duplicated and no
+//! missing indices across kill/resume cycles.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::event::{parse_event_line, Event};
+use crate::jsonl::{AppendLog, OpenError};
 
 /// Writes an event stream to disk in injection-index order.
 #[derive(Debug)]
 pub struct EventWriter {
-    out: BufWriter<File>,
+    out: AppendLog,
     /// Indices still awaited, in emission order.
     expected: VecDeque<u64>,
     /// Blocks that arrived ahead of the expected front.
@@ -33,15 +32,6 @@ pub struct EventWriter {
 }
 
 impl EventWriter {
-    /// Creates a fresh stream expecting injections `0..total`.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the file.
-    pub fn create(path: &Path, total: u64, sample: u64) -> std::io::Result<Self> {
-        Self::create_range(path, 0, total, sample)
-    }
-
     /// Creates a fresh stream expecting only injections `start..end` —
     /// the shard-range variant. Blocks for the shard flush as soon as
     /// they are contiguous with the shard front, so a live tailer sees
@@ -51,9 +41,8 @@ impl EventWriter {
     ///
     /// Any I/O error creating the file.
     pub fn create_range(path: &Path, start: u64, end: u64, sample: u64) -> std::io::Result<Self> {
-        let file = File::create(path)?;
         Ok(EventWriter {
-            out: BufWriter::new(file),
+            out: AppendLog::create(path)?,
             expected: (start..end).collect(),
             buffered: BTreeMap::new(),
             sample: sample.max(1),
@@ -61,65 +50,29 @@ impl EventWriter {
     }
 
     /// Reopens an existing stream for append, returning the writer and
-    /// the set of injection indices already present in the file.
+    /// the set of injection indices already present in the file. Only
+    /// indices in `start..end` are awaited; everything already in the
+    /// file is reported back regardless of range.
     ///
-    /// A torn final line (interrupted write) is truncated away; the
-    /// campaign re-submits that injection's block. Missing files are
-    /// treated as empty.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error reading or truncating the file.
-    pub fn resume(path: &Path, total: u64, sample: u64) -> std::io::Result<(Self, HashSet<u64>)> {
-        Self::resume_range(path, 0, total, sample)
-    }
-
-    /// Shard-range variant of [`EventWriter::resume`]: only indices in
-    /// `start..end` are awaited; everything already in the file is
-    /// reported back regardless of range.
+    /// A torn final line (interrupted write) is cut away; the campaign
+    /// re-submits that injection's block. Missing files are treated as
+    /// empty.
     ///
     /// # Errors
     ///
-    /// Any I/O error reading or truncating the file.
+    /// Any I/O error recovering the file, or a complete line that is not
+    /// an event.
     pub fn resume_range(
         path: &Path,
         start: u64,
         end: u64,
         sample: u64,
-    ) -> std::io::Result<(Self, HashSet<u64>)> {
-        let mut text = String::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+    ) -> Result<(Self, HashSet<u64>), OpenError> {
         let mut have = HashSet::new();
-        let mut valid_len = 0usize;
-        for line in text.split_inclusive('\n') {
-            let Some(body) = line.strip_suffix('\n') else {
-                break; // torn final line: no newline — drop it
-            };
-            match parse_event_line(body) {
-                Ok(event) => {
-                    if let Some(i) = event.index {
-                        have.insert(i);
-                    }
-                    valid_len += line.len();
-                }
-                Err(_) => break, // torn mid-file write; drop the tail
-            }
-        }
-        // No truncate: the valid prefix is kept, only a torn tail is cut.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)?;
-        file.set_len(valid_len as u64)?;
-        file.seek(SeekFrom::Start(valid_len as u64))?;
-        let out = BufWriter::new(file);
+        let out = AppendLog::open(path, |line| {
+            have.extend(parse_event_line(line)?.index);
+            Ok(())
+        })?;
         let expected = (start..end).filter(|i| !have.contains(i)).collect();
         Ok((
             EventWriter {
@@ -144,8 +97,7 @@ impl EventWriter {
     ///
     /// Any I/O error writing the line.
     pub fn emit_top(&mut self, event: &Event) -> std::io::Result<()> {
-        self.out.write_all(event.line().as_bytes())?;
-        self.out.write_all(b"\n")
+        self.out.write_line(&event.line())
     }
 
     /// Submits one injection's event block; flushes every block that is
@@ -163,15 +115,14 @@ impl EventWriter {
             };
             self.expected.pop_front();
             for line in lines {
-                self.out.write_all(line.as_bytes())?;
-                self.out.write_all(b"\n")?;
+                self.out.write_line(&line)?;
             }
         }
         Ok(())
     }
 
-    /// Flushes any out-of-order remainder (in index order) and syncs the
-    /// stream. Called once at end of run; a budget-stopped campaign
+    /// Writes any out-of-order remainder (in index order) and flushes the
+    /// stream to the OS. Called once at end of run; a budget-stopped campaign
     /// legitimately leaves gaps, and this writes what it has.
     ///
     /// # Errors
@@ -180,8 +131,7 @@ impl EventWriter {
     pub fn finish(&mut self) -> std::io::Result<()> {
         for (_, lines) in std::mem::take(&mut self.buffered) {
             for line in lines {
-                self.out.write_all(line.as_bytes())?;
-                self.out.write_all(b"\n")?;
+                self.out.write_line(&line)?;
             }
         }
         self.out.flush()
@@ -192,6 +142,8 @@ impl EventWriter {
 mod tests {
     use super::*;
     use crate::event::EventBuffer;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -213,7 +165,7 @@ mod tests {
     #[test]
     fn out_of_order_blocks_come_out_in_index_order() {
         let path = temp_path("order");
-        let mut w = EventWriter::create(&path, 3, 1).unwrap();
+        let mut w = EventWriter::create_range(&path, 0, 3, 1).unwrap();
         w.submit(2, &block(2, "l2")).unwrap();
         w.submit(0, &block(0, "fpu")).unwrap();
         w.submit(1, &block(1, "sfu")).unwrap();
@@ -230,7 +182,7 @@ mod tests {
     #[test]
     fn finish_flushes_gapped_remainder() {
         let path = temp_path("gap");
-        let mut w = EventWriter::create(&path, 4, 1).unwrap();
+        let mut w = EventWriter::create_range(&path, 0, 4, 1).unwrap();
         // Index 0 never arrives (budget stop); 3 and 1 did.
         w.submit(3, &block(3, "l1")).unwrap();
         w.submit(1, &block(1, "fpu")).unwrap();
@@ -247,7 +199,7 @@ mod tests {
     #[test]
     fn resume_reports_emitted_indices_and_truncates_torn_tail() {
         let path = temp_path("resume");
-        let mut w = EventWriter::create(&path, 4, 1).unwrap();
+        let mut w = EventWriter::create_range(&path, 0, 4, 1).unwrap();
         w.emit_top(&EventBuffer::enabled().emit_into("run_begin"))
             .unwrap();
         w.submit(0, &block(0, "fpu")).unwrap();
@@ -259,7 +211,7 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"{\"e\":\"strike\",\"i\":2,\"si").unwrap();
         }
-        let (mut w, have) = EventWriter::resume(&path, 4, 1).unwrap();
+        let (mut w, have) = EventWriter::resume_range(&path, 0, 4, 1).unwrap();
         assert_eq!(have, HashSet::from([0, 1]));
         w.submit(3, &block(3, "sfu")).unwrap();
         w.submit(2, &block(2, "l1")).unwrap();
@@ -277,9 +229,57 @@ mod tests {
     }
 
     #[test]
+    fn every_byte_offset_resumes_to_the_complete_line_prefix() {
+        let path = temp_path("offsets");
+        let mut w = EventWriter::create_range(&path, 0, 4, 1).unwrap();
+        w.emit_top(&EventBuffer::enabled().emit_into("run_begin"))
+            .unwrap();
+        for (i, site) in ["fpu", "l2", "sfu"].into_iter().enumerate() {
+            w.submit(i as u64, &block(i as u64, site)).unwrap();
+        }
+        w.finish().unwrap();
+        drop(w);
+        let full = std::fs::read_to_string(&path).unwrap();
+        let indices = |text: &str| -> HashSet<u64> {
+            text.lines()
+                .filter_map(|l| parse_event_line(l).unwrap().index)
+                .collect()
+        };
+        for k in 0..=full.len() {
+            std::fs::write(&path, &full.as_bytes()[..k]).unwrap();
+            let complete = full[..k].rfind('\n').map_or(0, |i| i + 1);
+            let expected = indices(&full[..complete]);
+            let (mut w, have) = EventWriter::resume_range(&path, 0, 4, 1).unwrap();
+            assert_eq!(have, expected, "cut at byte {k}");
+            w.submit(3, &block(3, "l1")).unwrap();
+            w.finish().unwrap();
+            drop(w);
+            let (_, have) = EventWriter::resume_range(&path, 0, 4, 1).unwrap();
+            let mut with_extra = expected;
+            with_extra.insert(3);
+            assert_eq!(have, with_extra, "reopen after cut at byte {k}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_damaged_complete_line_fails_the_resume() {
+        let path = temp_path("damaged");
+        let mut w = EventWriter::create_range(&path, 0, 2, 1).unwrap();
+        w.submit(0, &block(0, "fpu")).unwrap();
+        w.finish().unwrap();
+        drop(w);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, format!("not an event\n{text}")).unwrap();
+        let err = EventWriter::resume_range(&path, 0, 2, 1).unwrap_err();
+        assert!(matches!(err, OpenError::Rejected { line: 1, .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn sampling_stride() {
         let path = temp_path("sample");
-        let w = EventWriter::create(&path, 10, 4).unwrap();
+        let w = EventWriter::create_range(&path, 0, 10, 4).unwrap();
         let sampled: Vec<u64> = (0..10).filter(|&i| w.sampled(i)).collect();
         assert_eq!(sampled, [0, 4, 8]);
         std::fs::remove_file(&path).ok();

@@ -181,7 +181,7 @@ struct Core {
     /// The coordinator's own span timeline: dispatch/redispatch spans,
     /// worker deaths, shard completions and the campaign umbrella.
     trace: TraceRecorder,
-    /// Fleet health rules, fed one sample per heartbeat sweep and
+    /// Fleet health rules, sampled by the orchestrator loop and
     /// evaluated lazily by `GET /alerts` so alerts resolve while the
     /// HTTP plane outlives the finished campaign.
     alerts: Mutex<AlertEngine>,
@@ -414,6 +414,10 @@ fn orchestrate(core: &Arc<Core>) -> Result<(), ServeError> {
 fn orchestrate_loop(core: &Arc<Core>) -> Result<(), ServeError> {
     let (tx, rx) = std::sync::mpsc::channel::<TailEnd>();
     let mut last_beat: Option<Instant> = None;
+    // Alerts sample the fleet before the first dispatch, on every sweep,
+    // and after any death or redispatch off the heartbeat path — never
+    // per tick, since the stall rules count samples.
+    let mut sampled = evaluate_alerts(core);
     loop {
         if core.stop.load(Ordering::SeqCst) {
             return Ok(());
@@ -421,9 +425,14 @@ fn orchestrate_loop(core: &Arc<Core>) -> Result<(), ServeError> {
         dispatch_pending(core, &tx)?;
         drain_tail_endings(core, &rx)?;
         let now = Instant::now();
-        if last_beat.is_none_or(|t| now.duration_since(t) >= core.config.heartbeat_interval) {
+        let beat =
+            last_beat.is_none_or(|t| now.duration_since(t) >= core.config.heartbeat_interval);
+        if beat {
             last_beat = Some(now);
             heartbeat(core);
+        }
+        if beat || sampled != fleet_counters(core) {
+            sampled = evaluate_alerts(core);
         }
         complete_covered_shards(core)?;
         if finish_if_done(core)? {
@@ -771,7 +780,6 @@ fn heartbeat(core: &Arc<Core>) {
         &[],
         core.registry.lock().expect("registry lock").alive_count() as f64,
     );
-    evaluate_alerts(core);
 }
 
 /// The worker's `now_us` trace-timeline clock from a `/healthz` body.
@@ -781,16 +789,19 @@ fn parse_now_us(body: &str) -> Option<i64> {
     json::get_u64(obj, "now_us").ok().map(|n| n as i64)
 }
 
+/// Cumulative worker deaths and shard redispatches.
+fn fleet_counters(core: &Arc<Core>) -> (u64, u64) {
+    let deaths = core.registry.lock().expect("registry lock").deaths_total();
+    let slots = core.slots.lock().expect("slots lock");
+    (deaths, slots.iter().map(|s| s.redispatches).sum())
+}
+
 /// Feeds the fleet health rules one sample: cumulative worker deaths
 /// and redispatches, merged coverage and the FIT confidence interval.
 /// Firing/resolved edges land on stderr as structured JSONL lines and
-/// on `/metrics` as `radcrit_alert_*` series.
-fn evaluate_alerts(core: &Arc<Core>) {
-    let deaths = core.registry.lock().expect("registry lock").deaths_total();
-    let redispatches: u64 = {
-        let slots = core.slots.lock().expect("slots lock");
-        slots.iter().map(|s| s.redispatches).sum()
-    };
+/// on `/metrics` as `radcrit_alert_*` series. Returns the counters.
+fn evaluate_alerts(core: &Arc<Core>) -> (u64, u64) {
+    let (deaths, redispatches) = fleet_counters(core);
     let (covered, ci_width, folded) = {
         let merged = core.merged.lock().expect("merged lock");
         (
@@ -817,6 +828,7 @@ fn evaluate_alerts(core: &Arc<Core>) {
         eprintln!("{}", edge.to_json_line());
     }
     radcrit_obs::alerts::export_edges(&edges, &core.metrics);
+    (deaths, redispatches)
 }
 
 /// Journals and records completion for shards whose whole range became
@@ -944,6 +956,7 @@ fn finish_if_done(core: &Arc<Core>) -> Result<bool, ServeError> {
         std::fs::write(path, build_fleet_trace(core))
             .map_err(|e| ServeError::Io(format!("{}: {e}", path.display())))?;
     }
+    evaluate_alerts(core); // final counters, before `done` is visible
     core.done.store(true, Ordering::SeqCst);
     Ok(true)
 }

@@ -3,8 +3,8 @@
 //! One append-only JSONL file (`journal.jsonl` in the daemon's data
 //! directory) records every job transition, in the same spirit as the
 //! campaign checkpoint: a versioned header line, one self-contained JSON
-//! line per transition, flushed per append, and a *torn final line is
-//! tolerated* on replay — a daemon killed mid-write restarts cleanly.
+//! line per transition, flushed per append and recovered through
+//! [`radcrit_obs::jsonl`] — a daemon killed mid-write restarts cleanly.
 //!
 //! Replay folds the lines into the latest state per job. Jobs whose last
 //! state is `submitted` or `running` were in flight when the previous
@@ -13,11 +13,10 @@
 //! injection indices that already finished.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use radcrit_obs::json;
+use radcrit_obs::jsonl::{AppendLog, OpenError};
 
 use crate::error::ServeError;
 use crate::spec::{JobSpec, Priority};
@@ -77,7 +76,7 @@ pub struct ReplayedJob {
 /// Append handle over the journal file.
 #[derive(Debug)]
 pub struct Journal {
-    writer: BufWriter<File>,
+    log: AppendLog,
     path: PathBuf,
 }
 
@@ -90,65 +89,30 @@ impl Journal {
     /// # Errors
     ///
     /// [`ServeError::Io`] on filesystem problems, [`ServeError::Protocol`]
-    /// when an interior line (not the torn tail) is damaged or the header
-    /// version is unknown.
+    /// when a complete line is damaged or the header version is unknown.
     pub fn open(path: &Path) -> Result<(Self, Vec<ReplayedJob>), ServeError> {
         let io = |e: std::io::Error| ServeError::Io(format!("journal {}: {e}", path.display()));
-        let mut text = String::new();
-        let existed = match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_string(&mut text).map_err(io)?;
-                true
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-            Err(e) => return Err(io(e)),
-        };
-        if !text.is_empty() && !text.ends_with('\n') {
-            // Drop the torn tail (a kill mid-write) so the next append
-            // starts on a clean line and later replays never see the
-            // damaged fragment as a "complete" record.
-            let keep = text.rfind('\n').map_or(0, |i| i + 1);
-            OpenOptions::new()
-                .write(true)
-                .open(path)
-                .and_then(|f| f.set_len(keep as u64))
-                .map_err(io)?;
-            text.truncate(keep);
-        }
-        let jobs = if existed {
-            replay(&text, path)?
-        } else {
-            Vec::new()
-        };
+        let mut fold = Replay::default();
+        let mut log = AppendLog::open(path, |line| fold.line(line)).map_err(|e| match e {
+            OpenError::Io(e) => io(e),
+            rejected => ServeError::Protocol(format!("journal {} {rejected}", path.display())),
+        })?;
 
         // Compact a journal that has accumulated many transitions per
         // job: rewrite it as one spec-bearing record per job at its
         // latest state. Without this, the append-only file grows without
         // bound and every restart replays the full history.
-        let lines = text.lines().count();
-        let mut compacted = false;
-        if lines > jobs.len() * COMPACT_FACTOR + COMPACT_SLACK {
-            compact(path, &jobs).map_err(io)?;
-            compacted = true;
-        }
-
-        let mut writer = BufWriter::new(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(io)?,
-        );
-        if (!existed || text.is_empty()) && !compacted {
-            writeln!(writer, "{{\"radcrit_job_journal\":{JOURNAL_VERSION}}}").map_err(io)?;
-            writer.flush().map_err(io)?;
+        if fold.lines > fold.jobs.len() * COMPACT_FACTOR + COMPACT_SLACK {
+            log = compact(path, &fold.jobs).map_err(io)?;
+        } else if fold.lines == 0 {
+            log.append(&header_line()).map_err(io)?;
         }
         Ok((
             Journal {
-                writer,
+                log,
                 path: path.to_owned(),
             },
-            jobs,
+            fold.jobs,
         ))
     }
 
@@ -163,10 +127,14 @@ impl Journal {
         state: &JobState,
         submission: Option<(&JobSpec, Priority)>,
     ) -> Result<(), ServeError> {
-        writeln!(self.writer, "{}", render_line(id, state, submission))
-            .and_then(|()| self.writer.flush())
+        self.log
+            .append(&render_line(id, state, submission))
             .map_err(|e| ServeError::Io(format!("journal {}: {e}", self.path.display())))
     }
+}
+
+fn header_line() -> String {
+    format!("{{\"radcrit_job_journal\":{JOURNAL_VERSION}}}")
 }
 
 /// Renders one journal record.
@@ -200,26 +168,25 @@ const COMPACT_SLACK: usize = 16;
 /// Rewrites the journal as one record per job (its latest state, with
 /// spec and priority) via a temp file + atomic rename, so a crash during
 /// compaction leaves either the old or the new journal, never a mix.
-fn compact(path: &Path, jobs: &[ReplayedJob]) -> std::io::Result<()> {
+/// Returns the append handle, which follows the file across the rename.
+fn compact(path: &Path, jobs: &[ReplayedJob]) -> std::io::Result<AppendLog> {
     let tmp = path.with_extension("jsonl.compact");
-    {
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        writeln!(w, "{{\"radcrit_job_journal\":{JOURNAL_VERSION}}}")?;
-        for job in jobs {
-            writeln!(
-                w,
-                "{}",
-                render_line(&job.id, &job.state, Some((&job.spec, job.priority)))
-            )?;
-        }
-        w.flush()?;
+    let mut log = AppendLog::create(&tmp)?;
+    log.write_line(&header_line())?;
+    for job in jobs {
+        log.write_line(&render_line(
+            &job.id,
+            &job.state,
+            Some((&job.spec, job.priority)),
+        ))?;
     }
-    std::fs::rename(&tmp, path)
+    log.flush()?;
+    std::fs::rename(&tmp, path)?;
+    Ok(log)
 }
 
-/// Folds journal text into per-job latest states. The final line may be
-/// torn (kill mid-write) and is then ignored; damage anywhere else is an
-/// error.
+/// Folds journal lines into per-job latest states, in first-submission
+/// order; every complete line must parse.
 ///
 /// A state record *preceding* the submission record of its id is
 /// tolerated: the concurrent submit/cancel paths serialize journal
@@ -229,42 +196,31 @@ fn compact(path: &Path, jobs: &[ReplayedJob]) -> std::io::Result<()> {
 /// wins over the later submission record's state — it was appended by a
 /// worker or cancel that acted *after* the submission. An orphan whose
 /// spec record never arrives is dropped (it cannot be run).
-fn replay(text: &str, path: &Path) -> Result<Vec<ReplayedJob>, ServeError> {
-    let corrupt = |line_no: usize, m: String| {
-        ServeError::Protocol(format!("journal {} line {line_no}: {m}", path.display()))
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let complete = if text.ends_with('\n') {
-        lines.len()
-    } else {
-        lines.len().saturating_sub(1)
-    };
+#[derive(Default)]
+struct Replay {
+    jobs: Vec<ReplayedJob>,
+    /// Index into `jobs` so replay stays O(lines) while keeping
+    /// first-submission order in the Vec itself.
+    by_id: HashMap<String, usize>,
+    /// States seen before their id's submission record (see above).
+    orphans: HashMap<String, JobState>,
+    /// Lines folded, header included.
+    lines: usize,
+}
 
-    let mut jobs: Vec<ReplayedJob> = Vec::new();
-    // Index into `jobs` so replay stays O(lines) while keeping
-    // first-submission order in the Vec itself.
-    let mut by_id: HashMap<String, usize> = HashMap::new();
-    // States seen before their id's submission record (see above).
-    let mut orphans: HashMap<String, JobState> = HashMap::new();
-    for (i, line) in lines.iter().take(complete).enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        // The unterminated tail was already excluded from `complete`;
-        // every remaining line is a full record and must parse.
-        let v = json::parse_line(line).map_err(|m| corrupt(i + 1, m))?;
-        let obj = json::as_obj(&v).map_err(|m| corrupt(i + 1, m))?;
+impl Replay {
+    fn line(&mut self, line: &str) -> Result<(), String> {
+        self.lines += 1;
+        let v = json::parse_line(line)?;
+        let obj = json::as_obj(&v)?;
         if let Ok(version) = json::get_usize(obj, "radcrit_job_journal") {
             if version != JOURNAL_VERSION {
-                return Err(corrupt(
-                    i + 1,
-                    format!("unsupported journal version {version}"),
-                ));
+                return Err(format!("unsupported journal version {version}"));
             }
-            continue;
+            return Ok(());
         }
-        let id = json::get_str(obj, "job").map_err(|m| corrupt(i + 1, m))?;
-        let state = match json::get_str(obj, "state").map_err(|m| corrupt(i + 1, m))? {
+        let id = json::get_str(obj, "job")?;
+        let state = match json::get_str(obj, "state")? {
             "submitted" => JobState::Submitted,
             "running" => JobState::Running,
             "done" => JobState::Done,
@@ -274,34 +230,33 @@ fn replay(text: &str, path: &Path) -> Result<Vec<ReplayedJob>, ServeError> {
                     .unwrap_or_else(|_| "unknown error".to_owned()),
             ),
             "cancelled" => JobState::Cancelled,
-            other => return Err(corrupt(i + 1, format!("unknown state {other:?}"))),
+            other => return Err(format!("unknown state {other:?}")),
         };
-        match by_id.get(id) {
-            Some(&at) => jobs[at].state = state,
+        match self.by_id.get(id) {
+            Some(&at) => self.jobs[at].state = state,
             None => match json::get(obj, "spec") {
                 Ok(spec_value) => {
-                    let spec = JobSpec::from_value(spec_value)
-                        .map_err(|e| corrupt(i + 1, e.to_string()))?;
+                    let spec = JobSpec::from_value(spec_value).map_err(|e| e.to_string())?;
                     let priority = json::get_str(obj, "priority")
                         .ok()
                         .map_or(Ok(Priority::Normal), Priority::from_wire)
-                        .map_err(|e| corrupt(i + 1, e.to_string()))?;
-                    by_id.insert(id.to_owned(), jobs.len());
-                    jobs.push(ReplayedJob {
+                        .map_err(|e| e.to_string())?;
+                    self.by_id.insert(id.to_owned(), self.jobs.len());
+                    self.jobs.push(ReplayedJob {
                         id: id.to_owned(),
                         spec,
                         priority,
                         // The orphan acted after the submission: it wins.
-                        state: orphans.remove(id).unwrap_or(state),
+                        state: self.orphans.remove(id).unwrap_or(state),
                     });
                 }
                 Err(_) => {
-                    orphans.insert(id.to_owned(), state);
+                    self.orphans.insert(id.to_owned(), state);
                 }
             },
         }
+        Ok(())
     }
-    Ok(jobs)
 }
 
 /// The numeric suffix of `job-NNNNNN` ids, for allocating the next one.
@@ -318,6 +273,8 @@ pub fn job_id(number: u64) -> String {
 mod tests {
     use super::*;
     use radcrit_campaign::KernelSpec;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
 
     use crate::spec::DeviceKind;
 
@@ -392,6 +349,65 @@ mod tests {
         drop(j);
         let (_, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed[0].state, JobState::Done);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_byte_offset_reopens_to_the_complete_line_prefix() {
+        let path = temp("offsets");
+        let written = [
+            ("job-000001", JobState::Submitted),
+            ("job-000002", JobState::Submitted),
+            ("job-000001", JobState::Running),
+            ("job-000002", JobState::Failed("boom".into())),
+        ];
+        {
+            let spec = spec();
+            let (mut j, _) = Journal::open(&path).unwrap();
+            for (id, state) in &written {
+                let submission =
+                    (*state == JobState::Submitted).then_some((&spec, Priority::Normal));
+                j.append(id, state, submission).unwrap();
+            }
+        }
+        // Latest state per job, in first-submission order.
+        let fold = |transitions: &[(&str, JobState)]| {
+            let mut jobs: Vec<(String, JobState)> = Vec::new();
+            for (id, state) in transitions {
+                match jobs.iter_mut().find(|(j, _)| j == id) {
+                    Some(job) => job.1 = state.clone(),
+                    None => jobs.push((id.to_string(), state.clone())),
+                }
+            }
+            jobs
+        };
+        let seen = |replayed: Vec<ReplayedJob>| -> Vec<(String, JobState)> {
+            replayed.into_iter().map(|j| (j.id, j.state)).collect()
+        };
+        let full = std::fs::read(&path).unwrap();
+        for k in 0..=full.len() {
+            std::fs::write(&path, &full[..k]).unwrap();
+            // Complete lines in the prefix, the first being the header.
+            let complete = full[..k].iter().filter(|&&b| b == b'\n').count();
+            let prefix = &written[..complete.saturating_sub(1)];
+            let (mut j, replayed) = Journal::open(&path).unwrap();
+            assert_eq!(seen(replayed), fold(prefix), "cut at byte {k}");
+            j.append(
+                "job-000003",
+                &JobState::Submitted,
+                Some((&spec(), Priority::Low)),
+            )
+            .unwrap();
+            drop(j);
+            let (_, replayed) = Journal::open(&path).unwrap();
+            let mut with_extra = prefix.to_vec();
+            with_extra.push(("job-000003", JobState::Submitted));
+            assert_eq!(
+                seen(replayed),
+                fold(&with_extra),
+                "reopen after cut at byte {k}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
