@@ -25,17 +25,20 @@ use crate::program::{
     apply_writebacks, MachineCounters, StoreLog, TileCtx, TileFault, TileId, TiledProgram,
 };
 use crate::scheduler::DispatchPlan;
-use crate::snapshot::{EngineSnapshot, SnapshotPolicy, SnapshotSet};
+use crate::snapshot::{EngineSnapshot, GoldenTable, GoldenTile, SnapshotPolicy, SnapshotSet};
 use crate::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use crate::trace::{ExecutionTrace, TileTrace};
 
 /// The result of one engine run.
 ///
-/// The engine always runs the program to completion; crash/hang outcomes
-/// are classified by the fault layer *before* execution (a crashed run has
-/// no output to analyze). `strike_delivered` reports whether the strike
-/// found live state to corrupt — `false` means the strike was
-/// architecturally masked (empty cache set, no pending victim).
+/// Crash/hang outcomes are classified by the fault layer *before*
+/// execution (a crashed run has no output to analyze), so every run
+/// yields an output. The engine runs the program to completion unless it
+/// proves the strike dead first (see
+/// [`RunOutcome::golden_equivalent`]). `strike_delivered` reports
+/// whether the strike found live state to corrupt — `false` means the
+/// strike was architecturally masked (empty cache set, no pending
+/// victim).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The output buffer contents after the final cache flush.
@@ -106,6 +109,14 @@ impl RunScratch {
             }
             None => t.clone(),
         }
+    }
+
+    /// A cache hierarchy for a cache-blind run to carry but never touch:
+    /// the previous run's spare as it is, or a fresh one.
+    fn idle_caches(&mut self, cfg: &DeviceConfig) -> CacheHierarchy {
+        self.spare_caches
+            .take()
+            .unwrap_or_else(|| CacheHierarchy::new(cfg))
     }
 
     /// An owned cache hierarchy equal to `src`, reusing the previous
@@ -277,6 +288,12 @@ impl Engine {
     /// region for sparse comparison. Programs that are not resumable, or
     /// strikes before the first snapshot, run in full.
     ///
+    /// A resumed run whose strike cannot perturb the cache hierarchy
+    /// ([`StrikeTarget::perturbs_cache`] is `false`) is *cache-blind*:
+    /// it neither restores, touches nor flushes the hierarchy, and
+    /// reports the golden run's cache counters, which its own hierarchy
+    /// would have reproduced exactly.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Engine::run`].
@@ -403,6 +420,20 @@ impl Engine {
         };
         let resumed = resume.is_some();
 
+        // Cache-blind resume: with no strike able to perturb the
+        // hierarchy, the run executes the golden tile sequence and never
+        // holds a pending flip. By the resumability contract it touches
+        // exactly the golden addresses, so its hierarchy can change no
+        // loaded value, cause no write-back and never decide the
+        // dead-strike exit: it could only recount the golden run's hits,
+        // misses and residency, which the golden table already holds.
+        let blind: Option<&GoldenTable> = match (resume, req.snapshots) {
+            (Some(_), Some(set)) if !req.strikes.iter().any(|s| s.target.perturbs_cache()) => {
+                set.golden_table(tiles)
+            }
+            _ => None,
+        };
+
         let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) = match resume {
             Some(snap) => {
                 // Snapshots hold memory as a delta against the post-setup
@@ -412,7 +443,11 @@ impl Engine {
                 let (mut mem, caches) = match scratch.as_deref_mut() {
                     Some(sc) => {
                         sc.ensure_template(program)?;
-                        (sc.image_of_template(), sc.caches_of(&snap.caches))
+                        let caches = match blind {
+                            Some(_) => sc.idle_caches(&self.cfg),
+                            None => sc.caches_of(&snap.caches),
+                        };
+                        (sc.image_of_template(), caches)
                     }
                     None => {
                         let mut m = DeviceMemory::new();
@@ -456,6 +491,9 @@ impl Engine {
             m.counter_add("radcrit_engine_runs_total", &[], 1);
             if resumed {
                 m.counter_add("radcrit_engine_resumed_runs_total", &[], 1);
+            }
+            if blind.is_some() {
+                m.counter_add("radcrit_engine_cache_blind_runs_total", &[], 1);
             }
             plan.observe(m);
         }
@@ -524,6 +562,15 @@ impl Engine {
         let last_strike_tile = req.strikes.iter().map(|s| s.at_tile).max();
         let mut golden_equivalent = false;
         let prof = profiling_enabled();
+        // The cumulative L2 (hits, misses) before dispatch position
+        // `next`, read before and after each traced tile.
+        let l2_counts = |caches: &CacheHierarchy, next: usize| match blind {
+            Some(g) => g.l2_before(next),
+            None => {
+                let s = caches.stats();
+                (s.l2_hits, s.l2_misses)
+            }
+        };
 
         for pos in start_tile..tiles {
             if let Some((stride, budget)) = capture_plan {
@@ -586,10 +633,13 @@ impl Engine {
             }
 
             let unit = plan.unit_of(pos);
-            let stats_before = caches.stats();
+            let l2_before = trace.is_some().then(|| l2_counts(&caches, pos));
             let mut ctx = TileCtx::new(&mut mem, &mut caches, unit, fault);
             if let Some(log) = store_log.as_mut() {
                 ctx = ctx.with_store_log(log);
+            }
+            if blind.is_some() {
+                ctx = ctx.cache_blind();
             }
             {
                 let _scope = phase_if(prof, PhaseId::TileExecute);
@@ -600,8 +650,10 @@ impl Engine {
             totals.trans_ops += c.trans_ops;
             totals.loads += c.loads;
             totals.stores += c.stores;
-            if let Some(tr) = trace.as_deref_mut() {
-                let stats_after = caches.stats();
+            if let (Some(tr), Some((hits_before, misses_before))) =
+                (trace.as_deref_mut(), l2_before)
+            {
+                let (hits, misses) = l2_counts(&caches, pos + 1);
                 tr.push(TileTrace {
                     pos,
                     unit,
@@ -609,8 +661,8 @@ impl Engine {
                     trans_ops: c.trans_ops,
                     loads: c.loads,
                     stores: c.stores,
-                    l2_hits: stats_after.l2_hits - stats_before.l2_hits,
-                    l2_misses: stats_after.l2_misses - stats_before.l2_misses,
+                    l2_hits: hits - hits_before,
+                    l2_misses: misses - misses_before,
                 });
             }
 
@@ -625,7 +677,30 @@ impl Engine {
                 }
             }
 
-            l2_resident_samples += caches.l2_resident_lines() as f64;
+            match blind {
+                Some(g) => {
+                    let golden = &g.tiles[pos];
+                    debug_assert_eq!(
+                        (totals.loads, totals.stores),
+                        (golden.loads, golden.stores),
+                        "{} at tile {pos}: cumulative loads/stores differ from golden, so its \
+                         accesses depend on data and it must not be resumable",
+                        program.name()
+                    );
+                    l2_resident_samples = golden.l2_resident_samples;
+                }
+                None => l2_resident_samples += caches.l2_resident_lines() as f64,
+            }
+            if capture_plan.is_some() {
+                let stats = caches.stats();
+                set.golden.tiles.push(GoldenTile {
+                    l2_hits: stats.l2_hits,
+                    l2_misses: stats.l2_misses,
+                    l2_resident_samples,
+                    loads: totals.loads,
+                    stores: totals.stores,
+                });
+            }
 
             if let Some(last) = last_strike_tile {
                 if resumable
@@ -638,6 +713,11 @@ impl Engine {
                     && !caches.corruption_touched()
                     && !caches.has_pending_corruption()
                 {
+                    // Every strike a cache-blind run admits arms a fault
+                    // that the vectors above keep forever, so such a run
+                    // always executes every tile (its counters are the
+                    // golden run's end-of-run ones).
+                    debug_assert!(blind.is_none(), "a cache-blind run never exits early");
                     golden_equivalent = true;
                     if let Some(m) = self.metrics.as_deref() {
                         m.counter_add("radcrit_run_dead_strike_exits_total", &[], 1);
@@ -651,8 +731,11 @@ impl Engine {
 
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
-        let wbs = caches.flush();
-        apply_writebacks(&mut mem, &wbs, store_log.as_mut());
+        // A cache-blind run's hierarchy holds nothing of this run.
+        if blind.is_none() {
+            let wbs = caches.flush();
+            apply_writebacks(&mut mem, &wbs, store_log.as_mut());
+        }
 
         let output = mem.take_vec(program.output())?;
         program
@@ -688,7 +771,17 @@ impl Engine {
             _ => None,
         };
 
-        let stats = caches.stats();
+        let stats = match blind {
+            Some(g) => g.end,
+            None => caches.stats(),
+        };
+        if capture_plan.is_some() {
+            set.golden.end = stats;
+            if set.is_empty() {
+                // No snapshot, no resume: the table would never be read.
+                set.golden = GoldenTable::default();
+            }
+        }
         let line_bytes = caches.line_bytes() as f64;
         let profile = ExecutionProfile {
             tiles,
@@ -1547,6 +1640,115 @@ mod tests {
             Some(1)
         );
         assert!(snap.gauge("radcrit_snapshot_bytes", &[]).unwrap_or(0.0) > 0.0);
+    }
+
+    #[test]
+    fn only_value_strikes_run_cache_blind_and_match_full_runs() {
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(DeviceConfig::kepler_k40()).with_metrics(metrics.clone());
+        let mut p = Affine::new(64);
+        let (_, set) = engine
+            .golden_snapshotted(
+                &mut p,
+                &SnapshotPolicy {
+                    stride: 2,
+                    max_bytes: 0,
+                },
+            )
+            .unwrap();
+        let blind_runs = || {
+            metrics
+                .snapshot()
+                .counter("radcrit_engine_cache_blind_runs_total", &[])
+                .unwrap_or(0)
+        };
+        let fpu = StrikeTarget::Fpu {
+            mask: 1 << 63,
+            op_index: 1,
+        };
+        let cases = [
+            (fpu, 1),
+            (StrikeTarget::UnitGarble, 1),
+            (StrikeTarget::L2 { mask: 1 << 62 }, 0),
+            (StrikeTarget::Scheduler(SchedulerEffect::SkipTile), 0),
+        ];
+        // One scratch across targets: a blind run hands back an
+        // unrestored hierarchy that the next cache strike must not see.
+        let mut scratch = RunScratch::new();
+        for (target, blind) in cases {
+            let s = StrikeSpec::new(5, target);
+            let before = blind_runs();
+            let mut rng = SmallRng::seed_from_u64(8);
+            let resumed = engine
+                .run_injection(&mut p, &s, &mut rng, Some(&set), &mut scratch)
+                .unwrap();
+            assert_eq!(blind_runs() - before, blind, "{target:?}");
+            let mut rng = SmallRng::seed_from_u64(8);
+            let full = engine.run(&mut p, &s, &mut rng).unwrap();
+            assert_eq!(bits(&resumed.output), bits(&full.output), "{target:?}");
+            assert_eq!(resumed.profile, full.profile, "{target:?}");
+            assert_eq!(resumed.resolutions, full.resolutions, "{target:?}");
+        }
+    }
+
+    /// A program whose loads depend on loaded values breaks the
+    /// resumability contract; a cache-blind run must catch it in debug
+    /// builds rather than report golden cache counters for it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not be resumable")]
+    fn cache_blind_run_trips_on_data_dependent_loads() {
+        #[derive(Debug)]
+        struct Chasing(Affine);
+        impl TiledProgram for Chasing {
+            fn name(&self) -> &str {
+                "chasing"
+            }
+            fn tile_count(&self) -> usize {
+                self.0.tile_count()
+            }
+            fn threads_per_tile(&self) -> usize {
+                self.0.threads_per_tile()
+            }
+            fn setup(&mut self, mem: &mut DeviceMemory) -> Result<(), AccelError> {
+                self.0.setup(mem)
+            }
+            fn execute_tile(
+                &mut self,
+                tile: TileId,
+                ctx: &mut TileCtx<'_>,
+            ) -> Result<(), AccelError> {
+                self.0.execute_tile(tile, ctx)?;
+                // A corrupted (negative) result makes the tile load once
+                // more: its traffic now depends on data.
+                let mut y = [0.0];
+                ctx.load(self.0.out_buf.unwrap(), tile.index() * 8, &mut y)?;
+                if y[0] < 0.0 {
+                    ctx.load(self.0.in_buf.unwrap(), 0, &mut y)?;
+                }
+                Ok(())
+            }
+            fn output(&self) -> BufferId {
+                self.0.output()
+            }
+            fn output_shape(&self) -> OutputShape {
+                self.0.output_shape()
+            }
+        }
+        let engine = Engine::new(DeviceConfig::kepler_k40());
+        let mut p = Chasing(Affine::new(64));
+        let (_, set) = engine
+            .golden_snapshotted(&mut p, &SnapshotPolicy::default())
+            .unwrap();
+        let s = StrikeSpec::new(
+            4,
+            StrikeTarget::Fpu {
+                mask: 1 << 63,
+                op_index: 0,
+            },
+        );
+        let mut rng = SmallRng::seed_from_u64(1);
+        let _ = engine.run_injection(&mut p, &s, &mut rng, Some(&set), &mut RunScratch::new());
     }
 
     #[test]

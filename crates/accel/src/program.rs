@@ -7,7 +7,9 @@
 //! `step × tile` into the tile index and double-buffer their state.
 //!
 //! All data movement goes through [`TileCtx`] so the cache hierarchy sees
-//! every access, and all floating-point arithmetic goes through the
+//! every access (a cache-blind context, which the engine builds only
+//! when the hierarchy cannot be observed, skips it), and all
+//! floating-point arithmetic goes through the
 //! `TileCtx` op wrappers ([`TileCtx::fma`], [`TileCtx::exp`], …) so that
 //! in-flight logic upsets can corrupt individual operations. The wrappers
 //! compile to plain arithmetic plus one predictable branch when no fault
@@ -91,6 +93,16 @@ pub trait TiledProgram {
     /// run bit for bit. Programs with observable per-execution state
     /// (e.g. an execution counter) must return `false`; the engine then
     /// always runs them from tile 0 with a fresh setup.
+    ///
+    /// A resumable program also promises that the ordered
+    /// `(buffer, start, len)` loads and stores of a tile depend only on
+    /// the tile id and the program's geometry, never on loaded values.
+    /// A strike that corrupts values only then leaves every address the
+    /// run touches equal to golden, so the engine may skip simulating
+    /// the cache hierarchy and report the golden run's cache counters
+    /// (a cache-blind run). Debug builds check each tile's load and
+    /// store counts against the golden run's. DGEMM, LavaMD, HotSpot
+    /// and shallow water all satisfy this.
     fn resumable(&self) -> bool {
         true
     }
@@ -181,6 +193,9 @@ pub struct TileCtx<'a> {
     pub(crate) fault: TileFault,
     pub(crate) fault_armed: bool,
     pub(crate) store_log: Option<&'a mut StoreLog>,
+    // Loads and stores move data but leave `caches` untouched: set for
+    // cache-blind runs, whose hierarchy is never observed.
+    pub(crate) cache_blind: bool,
     // Per-tile counters (reset each tile).
     pub(crate) ops: u64,
     pub(crate) trans_ops: u64,
@@ -212,6 +227,7 @@ impl<'a> TileCtx<'a> {
             fault,
             fault_armed,
             store_log: None,
+            cache_blind: false,
             ops: 0,
             trans_ops: 0,
             loads: 0,
@@ -229,6 +245,14 @@ impl<'a> TileCtx<'a> {
     /// watched buffer are recorded as dirty spans.
     pub(crate) fn with_store_log(mut self, log: &'a mut StoreLog) -> Self {
         self.store_log = Some(log);
+        self
+    }
+
+    /// Makes loads and stores bypass the cache hierarchy: data moves
+    /// between memory and the tile, and no line is touched, written
+    /// back or checked for pending corruption.
+    pub(crate) fn cache_blind(mut self) -> Self {
+        self.cache_blind = true;
         self
     }
 
@@ -486,6 +510,9 @@ impl<'a> TileCtx<'a> {
             E::copy_f64(window, dst);
             base
         };
+        if self.cache_blind {
+            return Ok(());
+        }
         let wbs = {
             let _scope = phase_if(self.prof, PhaseId::CacheAccess);
             self.caches
@@ -591,12 +618,16 @@ impl<'a> TileCtx<'a> {
         // and the per-row touch stream (identical order, so ticks, LRU
         // and hit counters match the slow path bit for bit) follows.
         // Flips are only added by strikes, never by loads, so the gate
-        // cannot flip mid-call.
-        if !self.caches.has_pending_corruption() {
+        // cannot flip mid-call. A cache-blind context stops after the
+        // copies.
+        if self.cache_blind || !self.caches.has_pending_corruption() {
             let span = (rows - 1) * stride + width;
             if let Ok((base, window)) = self.mem.window(buf, start, span) {
                 for (r, out) in dst.chunks_exact_mut(width).enumerate() {
                     E::copy_f64(&window[r * stride..r * stride + width], out);
+                }
+                if self.cache_blind {
+                    return Ok(());
                 }
                 let _scope = phase_if(self.prof, PhaseId::CacheAccess);
                 let mut wbs = Vec::new();
@@ -624,6 +655,9 @@ impl<'a> TileCtx<'a> {
                 E::copy_f64(window, out);
                 base
             };
+            if self.cache_blind {
+                continue;
+            }
             {
                 let _scope = phase_if(self.prof, PhaseId::CacheAccess);
                 self.caches
@@ -740,6 +774,9 @@ impl<'a> TileCtx<'a> {
         };
         if let Some(log) = self.store_log.as_deref_mut() {
             log.record(buf, start, src.len());
+        }
+        if self.cache_blind {
+            return Ok(());
         }
         let wbs = {
             let _scope = phase_if(self.prof, PhaseId::CacheAccess);

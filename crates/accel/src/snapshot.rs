@@ -7,14 +7,19 @@
 //! running counters) at a tile stride during the golden run; an
 //! injection then resumes from the nearest snapshot at or before its
 //! strike tile instead of re-executing the whole prefix — see
-//! `Engine::run_from`.
+//! `Engine::run_injection`.
+//!
+//! The set also keeps a `GoldenTable` of the golden run's per-tile
+//! cache and traffic counters. A resumed run whose strike cannot
+//! perturb the cache hierarchy reports those counters instead of
+//! simulating the hierarchy at all (a *cache-blind* run).
 //!
 //! Snapshots are byte-bounded: a [`SnapshotPolicy`] caps the whole set,
 //! and capture points that would exceed the budget are skipped (and
 //! counted), never silently truncating correctness — a strike landing
 //! before the first usable snapshot simply falls back to a full run.
 
-use crate::cache::CacheHierarchy;
+use crate::cache::{CacheHierarchy, CacheStats};
 use crate::memory::BufferId;
 use crate::program::MachineCounters;
 
@@ -66,15 +71,51 @@ pub(crate) struct EngineSnapshot {
     pub(crate) l2_resident_samples: f64,
 }
 
+/// The golden run's counters after dispatch position `pos`, cumulative
+/// over positions `0..=pos`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct GoldenTile {
+    pub(crate) l2_hits: u64,
+    pub(crate) l2_misses: u64,
+    /// The running sum of per-tile L2 residency samples, accumulated in
+    /// the same order as a full run so it is bit-equal to one.
+    pub(crate) l2_resident_samples: f64,
+    pub(crate) loads: u64,
+    pub(crate) stores: u64,
+}
+
+/// What a cache-blind run reads instead of simulating the hierarchy:
+/// the golden run's cumulative counters per tile plus its end-of-run
+/// cache statistics. A run whose tiles execute the golden sequence
+/// with no flip pending touches exactly the golden addresses, so its
+/// hierarchy would count exactly these numbers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GoldenTable {
+    /// One entry per dispatch position, in order.
+    pub(crate) tiles: Vec<GoldenTile>,
+    /// Cache statistics after the final flush.
+    pub(crate) end: CacheStats,
+}
+
+impl GoldenTable {
+    /// The cumulative L2 `(hits, misses)` over positions `0..pos`
+    /// (zero for `pos == 0`).
+    pub(crate) fn l2_before(&self, pos: usize) -> (u64, u64) {
+        pos.checked_sub(1)
+            .map_or((0, 0), |p| (self.tiles[p].l2_hits, self.tiles[p].l2_misses))
+    }
+}
+
 /// A byte-bounded set of golden-prefix snapshots plus the golden run's
 /// per-tile output-store spans (needed to bound the dirty output region
-/// of a resumed faulty run).
+/// of a resumed faulty run) and its per-tile counters (a `GoldenTable`).
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotSet {
     pub(crate) snaps: Vec<EngineSnapshot>,
     /// Golden stores into the output buffer as `(tile, start, len)`
     /// element spans, ascending by tile.
     pub(crate) output_spans: Vec<(u32, u32, u32)>,
+    pub(crate) golden: GoldenTable,
     pub(crate) bytes: usize,
     pub(crate) skipped_tiles: u64,
 }
@@ -96,7 +137,9 @@ impl SnapshotSet {
     /// Approximate bytes this set occupies, for cache accounting.
     #[must_use]
     pub fn cost_bytes(&self) -> usize {
-        self.bytes + self.output_spans.len() * 12
+        self.bytes
+            + self.output_spans.len() * 12
+            + self.golden.tiles.len() * std::mem::size_of::<GoldenTile>()
     }
 
     /// Capture points skipped because they would have exceeded the byte
@@ -104,6 +147,12 @@ impl SnapshotSet {
     #[must_use]
     pub fn skipped_tiles(&self) -> u64 {
         self.skipped_tiles
+    }
+
+    /// The golden counter table, when it covers a program of `tiles`
+    /// tiles.
+    pub(crate) fn golden_table(&self, tiles: usize) -> Option<&GoldenTable> {
+        (self.golden.tiles.len() == tiles).then_some(&self.golden)
     }
 
     /// The snapshot with the greatest `at_tile` that is `<= tile`, if
@@ -205,6 +254,20 @@ mod tests {
         let mut with_spans = set.clone();
         with_spans.output_spans = vec![(0, 0, 8), (1, 8, 8)];
         assert_eq!(with_spans.cost_bytes(), set.bytes + 2 * 12);
+    }
+
+    #[test]
+    fn cost_bytes_charges_the_golden_table_per_tile() {
+        let mut set = SnapshotSet::default();
+        assert!(set.push(snap(0), usize::MAX));
+        let without = set.cost_bytes();
+        set.golden.tiles = vec![GoldenTile::default(); 10];
+        assert_eq!(
+            set.cost_bytes(),
+            without + 10 * std::mem::size_of::<GoldenTile>()
+        );
+        assert!(set.golden_table(10).is_some());
+        assert!(set.golden_table(11).is_none(), "another program's table");
     }
 
     #[test]

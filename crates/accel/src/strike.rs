@@ -161,6 +161,29 @@ impl StrikeTarget {
             | StrikeTarget::Scheduler(_) => None,
         }
     }
+
+    /// Whether the strike can make a run's simulated cache hierarchy
+    /// diverge from the golden run's: it flips a cached line (`L1`,
+    /// `L2`) or changes which tiles execute, and so which addresses are
+    /// touched (`Scheduler` skip or redirect). Every other target
+    /// corrupts values only, so the hierarchy of its run tracks golden
+    /// exactly and can never feed corruption back into the data.
+    pub fn perturbs_cache(&self) -> bool {
+        match self {
+            StrikeTarget::L2 { .. }
+            | StrikeTarget::L1 { .. }
+            | StrikeTarget::Scheduler(SchedulerEffect::SkipTile | SchedulerEffect::RedirectTile) => {
+                true
+            }
+            StrikeTarget::RegisterFile { .. }
+            | StrikeTarget::VectorRegister { .. }
+            | StrikeTarget::Fpu { .. }
+            | StrikeTarget::Sfu { .. }
+            | StrikeTarget::CoreControl { .. }
+            | StrikeTarget::UnitGarble
+            | StrikeTarget::Scheduler(SchedulerEffect::GarbleTile) => false,
+        }
+    }
 }
 
 /// One neutron strike: the dispatch position at which it lands and the
@@ -243,6 +266,26 @@ mod tests {
         assert_eq!(sched.bit_index(), None);
         assert_eq!(sched.op_index(), None);
         assert_eq!(StrikeTarget::L1 { mask: 0 }.bit_index(), None);
+    }
+
+    #[test]
+    fn only_cache_and_dispatch_strikes_perturb_the_cache() {
+        assert!(StrikeTarget::L2 { mask: 1 }.perturbs_cache());
+        assert!(StrikeTarget::L1 { mask: 1 }.perturbs_cache());
+        assert!(StrikeTarget::Scheduler(SchedulerEffect::SkipTile).perturbs_cache());
+        assert!(StrikeTarget::Scheduler(SchedulerEffect::RedirectTile).perturbs_cache());
+        assert!(!StrikeTarget::Scheduler(SchedulerEffect::GarbleTile).perturbs_cache());
+        assert!(!StrikeTarget::UnitGarble.perturbs_cache());
+        assert!(!StrikeTarget::Fpu {
+            mask: 1,
+            op_index: 0
+        }
+        .perturbs_cache());
+        assert!(!StrikeTarget::CoreControl {
+            elems: 1,
+            store_index: 0
+        }
+        .perturbs_cache());
     }
 
     #[test]

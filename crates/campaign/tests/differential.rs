@@ -7,6 +7,7 @@
 //! still reconstructs the uninterrupted summary bit for bit.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,6 +20,7 @@ use radcrit_accel::strike::{SchedulerEffect, StrikeSpec, StrikeTarget};
 use radcrit_campaign::runner::{compare_with_logical_coords, compare_with_logical_coords_sparse};
 use radcrit_campaign::{Campaign, KernelSpec, RunOptions};
 use radcrit_core::compare::{compare_slices, compare_slices_sparse};
+use radcrit_obs::MetricsRegistry;
 
 /// Every [`StrikeTarget`] variant, including each scheduler effect.
 fn all_targets() -> Vec<StrikeTarget> {
@@ -159,6 +161,72 @@ fn resumed_runs_are_bit_identical_to_full_runs_everywhere() {
             }
         }
     }
+}
+
+/// Provenance `touched` is computed from the per-tile trace, so a
+/// resumed traced run must return exactly the tiles a full traced run
+/// executed from the resume point on — down to the L2 counters, which a
+/// cache-blind run reads from the golden table instead of simulating.
+#[test]
+fn resumed_traces_are_the_full_trace_from_the_resume_point_everywhere() {
+    let metrics = Arc::new(MetricsRegistry::new());
+    for device in devices() {
+        for spec in kernels() {
+            let engine = Engine::new(device.clone()).with_metrics(Arc::clone(&metrics));
+            let mut kernel = spec.build(7).expect("kernel builds");
+            let stride = 2;
+            let policy = SnapshotPolicy {
+                stride,
+                max_bytes: 0,
+            };
+            let (_, snaps) = engine
+                .golden_snapshotted(kernel.as_mut(), &policy)
+                .expect("golden run");
+            let tiles = kernel.tile_count();
+            for (t, target) in all_targets().into_iter().enumerate() {
+                for at_tile in [0, tiles / 2 + 1, tiles - 1] {
+                    let strike = StrikeSpec::new(at_tile, target);
+                    let seed = 2000 + t as u64;
+                    let (_, full) = engine
+                        .run_injection_traced(
+                            kernel.as_mut(),
+                            &strike,
+                            &mut StdRng::seed_from_u64(seed),
+                            None,
+                            &mut RunScratch::new(),
+                        )
+                        .expect("full traced run");
+                    let (run, resumed) = engine
+                        .run_injection_traced(
+                            kernel.as_mut(),
+                            &strike,
+                            &mut StdRng::seed_from_u64(seed),
+                            Some(&snaps),
+                            &mut RunScratch::new(),
+                        )
+                        .expect("resumed traced run");
+                    let ctx = format!(
+                        "{spec:?} on {:?}, {target:?} at tile {at_tile}",
+                        device.kind()
+                    );
+                    assert!(run.dirty.is_some(), "did not resume: {ctx}");
+                    let resume_at = at_tile / stride * stride;
+                    let suffix: Vec<_> = full
+                        .tiles()
+                        .iter()
+                        .filter(|tile| tile.pos >= resume_at)
+                        .copied()
+                        .collect();
+                    assert_eq!(resumed.tiles(), &suffix[..], "trace: {ctx}");
+                }
+            }
+        }
+    }
+    let blind = metrics
+        .snapshot()
+        .counter("radcrit_engine_cache_blind_runs_total", &[])
+        .unwrap_or(0);
+    assert!(blind > 0, "no run was cache-blind");
 }
 
 proptest! {

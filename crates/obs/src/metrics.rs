@@ -59,6 +59,11 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
         help: "Injections the watchdog declared hung and synthesized a record for.",
     },
     MetricHelp {
+        name: "radcrit_engine_cache_blind_runs_total",
+        kind: "counter",
+        help: "Resumed engine executions that skipped the cache model because no strike could perturb it.",
+    },
+    MetricHelp {
         name: "radcrit_engine_phase_us",
         kind: "histogram",
         help: "Engine phase wall time in microseconds, by phase label (setup, tiles, flush).",
