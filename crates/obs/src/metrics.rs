@@ -155,6 +155,12 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
             "Injection runs ended early because the strike's corruption died before reaching output.",
     },
     MetricHelp {
+        name: "radcrit_serve_job_latency_us",
+        kind: "histogram",
+        help: "Served job wall latency in microseconds, from the accepted submit (or the restart \
+               that re-enqueued it) to its terminal state.",
+    },
+    MetricHelp {
         name: "radcrit_serve_jobs_submitted_total",
         kind: "counter",
         help: "Jobs accepted into the daemon's queue.",

@@ -58,7 +58,8 @@ use radcrit_obs::{
 
 use crate::client::Client;
 use crate::error::ServeError;
-use crate::http::{read_request, respond, respond_chunked, Request};
+use crate::http::{respond, respond_chunked, Request};
+use crate::live::Wakeup;
 use crate::spec::JobSpec;
 
 /// How a coordinator is launched.
@@ -158,6 +159,8 @@ struct TailEnd {
 #[derive(Debug)]
 struct Core {
     config: CoordinatorConfig,
+    /// The bound listener address, for waking the accept loop.
+    addr: SocketAddr,
     /// Canonical one-shot spec JSON (`shard: null`) — the journal's
     /// campaign identity and the workers' spec template.
     campaign_json: String,
@@ -175,6 +178,9 @@ struct Core {
     stop: AtomicBool,
     /// Every shard completed and the merged summary written.
     done: AtomicBool,
+    /// Notified when `done` or `stop` flips: wakes the merged-stream
+    /// tails and [`CoordinatorHandle::wait_done`].
+    settled: Wakeup,
     /// The coordinator's trace epoch (`ts = 0` of the fleet timeline);
     /// worker timestamps are rebased onto it via heartbeat clock probes.
     epoch: Instant,
@@ -214,16 +220,20 @@ impl CoordinatorHandle {
     /// [`ServeError::Interrupted`] on timeout.
     pub fn wait_done(&self, timeout: Duration) -> Result<(), ServeError> {
         let deadline = Instant::now() + timeout;
-        while !self.is_done() {
-            if Instant::now() >= deadline {
+        loop {
+            let seen = self.core.settled.generation();
+            if self.is_done() {
+                return Ok(());
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(ServeError::Interrupted(format!(
                     "campaign still federating after {:.1}s",
                     timeout.as_secs_f64()
                 )));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            self.core.settled.wait_past(seen, left);
         }
-        Ok(())
     }
 
     /// Stops the coordinator and joins its threads, returning the
@@ -233,7 +243,7 @@ impl CoordinatorHandle {
     ///
     /// Whatever error stopped the orchestrator first.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
-        self.core.stop.store(true, Ordering::SeqCst);
+        stop(&self.core);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -298,13 +308,13 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     // The alert window must outlast one heartbeat death-and-recovery
     // cycle (sweep, re-dispatch, tail merge) so a single kill reads as
     // fire-then-resolve rather than a metastable flap.
     let alert_window = (config.heartbeat_timeout * 2).max(Duration::from_secs(2));
     let core = Arc::new(Core {
+        addr,
         campaign_json,
         golden_key,
         total,
@@ -316,6 +326,7 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
         metrics: Arc::new(MetricsRegistry::new()),
         stop: AtomicBool::new(false),
         done: AtomicBool::new(false),
+        settled: Wakeup::new(),
         epoch: now,
         trace: TraceRecorder::with_epoch(now),
         alerts: Mutex::new(AlertEngine::new(AlertConfig {
@@ -327,7 +338,9 @@ pub fn start(config: CoordinatorConfig) -> Result<CoordinatorHandle, ServeError>
 
     let accept = {
         let core = Arc::clone(&core);
-        std::thread::spawn(move || accept_loop(&core, &listener))
+        std::thread::spawn(move || {
+            crate::http::accept_until(&listener, &core, |c| c.stop.load(Ordering::SeqCst), route);
+        })
     };
     let orchestrator = {
         let core = Arc::clone(&core);
@@ -406,9 +419,17 @@ fn orchestrate(core: &Arc<Core>) -> Result<(), ServeError> {
         // journal never recorded, and a later restart would replay
         // stale state as if it were current.
         eprintln!("radcrit-coordinator: orchestrator stopped: {e}");
-        core.stop.store(true, Ordering::SeqCst);
+        stop(core);
     }
     result
+}
+
+/// Stops orchestrating and accepting, and wakes everything blocked on
+/// either.
+fn stop(core: &Core) {
+    core.stop.store(true, Ordering::SeqCst);
+    core.settled.notify();
+    crate::http::wake(core.addr);
 }
 
 fn orchestrate_loop(core: &Arc<Core>) -> Result<(), ServeError> {
@@ -958,6 +979,7 @@ fn finish_if_done(core: &Arc<Core>) -> Result<bool, ServeError> {
     }
     evaluate_alerts(core); // final counters, before `done` is visible
     core.done.store(true, Ordering::SeqCst);
+    core.settled.notify();
     Ok(true)
 }
 
@@ -976,43 +998,6 @@ fn journal_append(core: &Arc<Core>, record: &ShardRecord) -> Result<(), ServeErr
 // ---------------------------------------------------------------------
 // HTTP routing
 // ---------------------------------------------------------------------
-
-fn accept_loop(core: &Arc<Core>, listener: &TcpListener) {
-    loop {
-        if core.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let core = Arc::clone(core);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = handle_connection(&core, &mut stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn handle_connection(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let request = match read_request(stream) {
-        Ok(r) => r,
-        Err(_) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                "{\"error\":\"bad request\"}",
-            );
-        }
-    };
-    route(core, stream, &request)
-}
 
 fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), ServeError> {
     let path = req.path.split('?').next().unwrap_or(&req.path);
@@ -1046,8 +1031,11 @@ fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), 
         ("GET", ["alerts"]) => get_alerts(core, stream),
         ("GET", ["healthz"]) => get_healthz(core, stream),
         ("POST", ["shutdown"]) => {
-            core.stop.store(true, Ordering::SeqCst);
-            respond(stream, 200, "application/json", "{\"draining\":true}")
+            // Answer before stopping: a process that exits on stop must
+            // still deliver the reply.
+            let sent = respond(stream, 200, "application/json", "{\"draining\":true}");
+            stop(core);
+            sent
         }
         (method, _) if !matches!(method, "GET" | "POST") => respond(
             stream,
@@ -1166,10 +1154,14 @@ fn get_status(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError
 /// resumable via `Last-Event-ID` exactly like a single daemon's stream.
 fn get_stream(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), ServeError> {
     let resume_after = crate::live::parse_last_event_id(req.header("last-event-id"));
-    let core_for_poll = Arc::clone(core);
-    match crate::live::stream_sse(stream, &core.merged_path, resume_after, &move || {
-        core_for_poll.done.load(Ordering::SeqCst) || core_for_poll.stop.load(Ordering::SeqCst)
-    }) {
+    let is_terminal = || core.done.load(Ordering::SeqCst) || core.stop.load(Ordering::SeqCst);
+    match crate::live::stream_sse(
+        stream,
+        &core.merged_path,
+        resume_after,
+        &is_terminal,
+        &core.settled,
+    ) {
         Err(ServeError::Disconnected(_)) => Ok(()),
         other => other,
     }

@@ -2,9 +2,11 @@
 //!
 //! ## Architecture
 //!
-//! One accept thread owns a non-blocking [`TcpListener`] and spawns a
+//! One accept thread blocks on the [`TcpListener`] and spawns a
 //! short-lived handler thread per connection (exchanges are single
-//! request/response, `Connection: close`). A fixed pool of job workers
+//! request/response, `Connection: close`). Whatever lets it exit
+//! (`shutdown_abrupt`, or the drain emptying) wakes it with a loopback
+//! connect ([`crate::http::wake`]). A fixed pool of job workers
 //! blocks on the [`JobQueue`]; each claimed job runs as a normal
 //! [`Campaign`] with the runner's own internal parallelism, a
 //! cooperative cancel flag, a per-job [`MetricsRegistry`] (folded into
@@ -40,7 +42,9 @@
 //! [`CriticalityAggregator`](radcrit_obs::CriticalityAggregator)
 //! snapshot, and `GET /analytics` merges every job's fold into a
 //! daemon-wide rollup. `GET /dashboard` serves the self-contained HTML
-//! page in [`crate::dashboard`] that renders all of it live.
+//! page in [`crate::dashboard`] that renders all of it live. Every job
+//! state change notifies the daemon's [`Wakeup`], so SSE tails see a
+//! job end as soon as it does.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -48,15 +52,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use radcrit_campaign::golden::GoldenCache;
 use radcrit_campaign::{Campaign, RunOptions};
 use radcrit_obs::{AlertConfig, AlertEngine, HealthSample, MetricsRegistry};
 
 use crate::error::ServeError;
-use crate::http::{read_request, respond, respond_chunked, Request};
+use crate::http::{respond, respond_chunked, Request};
 use crate::journal::{job_id, job_number, JobState, Journal};
+use crate::live::Wakeup;
 use crate::queue::{JobQueue, PushError};
 use crate::spec::JobSpec;
 
@@ -101,12 +106,17 @@ struct JobEntry {
     spec: JobSpec,
     state: JobState,
     cancel: Arc<AtomicBool>,
+    /// When this daemon accepted the job (or re-enqueued it on restart):
+    /// the start of its end-to-end latency.
+    accepted: Instant,
 }
 
 /// Shared daemon state.
 #[derive(Debug)]
 struct Core {
     config: DaemonConfig,
+    /// The bound listener address, for waking the accept loop.
+    addr: SocketAddr,
     jobs: Mutex<BTreeMap<String, JobEntry>>,
     next_job: AtomicU64,
     queue: JobQueue,
@@ -121,6 +131,8 @@ struct Core {
     draining: AtomicBool,
     /// Set when the accept loop should exit.
     stop: AtomicBool,
+    /// Notified on every job state change (Running and terminal).
+    job_changes: Wakeup,
     /// Testing hook: pretend the process died — skip terminal journal
     /// writes and result files for in-flight jobs.
     abrupt: AtomicBool,
@@ -167,6 +179,7 @@ impl DaemonHandle {
     pub fn shutdown_abrupt(mut self) {
         self.core.abrupt.store(true, Ordering::SeqCst);
         self.core.stop.store(true, Ordering::SeqCst);
+        crate::http::wake(self.addr);
         self.core.queue.close();
         for entry in self.core.jobs.lock().expect("jobs lock").values() {
             entry.cancel.store(true, Ordering::SeqCst);
@@ -195,6 +208,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     let mut jobs = BTreeMap::new();
     let mut next = 1u64;
     let mut outstanding = 0usize;
+    let now = Instant::now();
     for job in replayed {
         next = next.max(job_number(&job.id).map_or(next, |n| n + 1));
         let state = match job.state {
@@ -217,6 +231,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
                 spec: job.spec,
                 state,
                 cancel: Arc::new(AtomicBool::new(false)),
+                accepted: now,
             },
         );
     }
@@ -224,7 +239,6 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| ServeError::Io(format!("bind {}: {e}", config.addr)))?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let pool = config.pool.max(1);
     let alerts = AlertEngine::new(AlertConfig {
@@ -234,6 +248,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     let core = Arc::new(Core {
         cache: Arc::new(GoldenCache::new(config.cache_bytes)),
         config,
+        addr,
         jobs: Mutex::new(jobs),
         next_job: AtomicU64::new(next),
         queue,
@@ -243,6 +258,7 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
         busy: AtomicUsize::new(0),
         draining: AtomicBool::new(false),
         stop: AtomicBool::new(false),
+        job_changes: Wakeup::new(),
         abrupt: AtomicBool::new(false),
         epoch: Instant::now(),
         alerts: Mutex::new(alerts),
@@ -264,7 +280,10 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
         .collect();
     let accept = {
         let core = Arc::clone(&core);
-        std::thread::spawn(move || accept_loop(&core, &listener))
+        std::thread::spawn(move || {
+            crate::http::accept_until(&listener, &core, accept_should_exit, route);
+            core.queue.close(); // drained (or stopped): release the workers
+        })
     };
 
     Ok(DaemonHandle {
@@ -275,31 +294,33 @@ pub fn start(config: DaemonConfig) -> Result<DaemonHandle, ServeError> {
     })
 }
 
-fn accept_loop(core: &Arc<Core>, listener: &TcpListener) {
-    loop {
-        if core.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if core.draining.load(Ordering::SeqCst) && core.outstanding.load(Ordering::SeqCst) == 0 {
-            // Drained: release the workers and stop accepting.
-            core.queue.close();
-            break;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let core = Arc::clone(core);
-                std::thread::spawn(move || {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = handle_connection(&core, &mut stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+/// The accept loop's exit condition: stopped, or drained.
+fn accept_should_exit(core: &Core) -> bool {
+    core.stop.load(Ordering::SeqCst)
+        || (core.draining.load(Ordering::SeqCst) && core.outstanding.load(Ordering::SeqCst) == 0)
+}
+
+/// Wakes the blocked accept loop if it may now exit. Called after every
+/// change that can make [`accept_should_exit`] true.
+fn wake_accept_if_exiting(core: &Core) {
+    if accept_should_exit(core) {
+        crate::http::wake(core.addr);
     }
+}
+
+/// Books a job's terminal transition once its state is set: the
+/// terminal counter, the end-to-end latency, the SSE tails' wakeup and
+/// the drain accounting. The caller then wakes the accept loop.
+fn record_terminal(core: &Core, state: &JobState, accepted: Instant) {
+    core.metrics.counter_add(
+        "radcrit_serve_jobs_total",
+        &[("state", state.wire_name())],
+        1,
+    );
+    core.metrics
+        .observe_duration("radcrit_serve_job_latency_us", &[], accepted.elapsed());
+    core.job_changes.notify();
+    core.outstanding.fetch_sub(1, Ordering::SeqCst);
 }
 
 fn worker_loop(core: &Arc<Core>) {
@@ -311,14 +332,15 @@ fn worker_loop(core: &Arc<Core>) {
             match jobs.get_mut(&id) {
                 Some(e) if e.state == JobState::Submitted => {
                     e.state = JobState::Running;
-                    Some((e.spec.clone(), Arc::clone(&e.cancel)))
+                    Some((e.spec.clone(), Arc::clone(&e.cancel), e.accepted))
                 }
                 _ => None,
             }
         };
-        let Some((spec, cancel)) = claimed else {
+        let Some((spec, cancel, accepted)) = claimed else {
             continue;
         };
+        core.job_changes.notify();
         journal_append(core, &id, &JobState::Running, None);
 
         core.busy.fetch_add(1, Ordering::SeqCst);
@@ -334,19 +356,15 @@ fn worker_loop(core: &Arc<Core>) {
             Ok(false) => JobState::Cancelled,
             Err(e) => JobState::Failed(e.to_string()),
         };
-        core.metrics.counter_add(
-            "radcrit_serve_jobs_total",
-            &[("state", terminal.wire_name())],
-            1,
-        );
         journal_append(core, &id, &terminal, None);
         core.jobs
             .lock()
             .expect("jobs lock")
             .get_mut(&id)
             .expect("claimed job exists")
-            .state = terminal;
-        core.outstanding.fetch_sub(1, Ordering::SeqCst);
+            .state = terminal.clone();
+        record_terminal(core, &terminal, accepted);
+        wake_accept_if_exiting(core);
     }
 }
 
@@ -431,27 +449,12 @@ fn journal_append(
 // HTTP routing
 // ---------------------------------------------------------------------
 
-fn handle_connection(core: &Arc<Core>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let request = match read_request(stream) {
-        Ok(r) => r,
-        Err(_) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                "{\"error\":\"bad request\"}",
-            );
-        }
-    };
-    route(core, stream, &request)
-}
-
 fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), ServeError> {
     // The dashboard links carry `?job=<id>` selectors; routing only
     // looks at the path proper.
     let path = req.path.split('?').next().unwrap_or(&req.path);
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+    let sent = match (req.method.as_str(), segments.as_slice()) {
         ("POST", ["jobs"]) => post_job(core, stream, &req.body),
         ("GET", ["jobs"]) => get_jobs(core, stream),
         ("GET", ["jobs", id]) => get_status(core, stream, id),
@@ -512,7 +515,12 @@ fn route(core: &Arc<Core>, stream: &mut TcpStream, req: &Request) -> Result<(), 
             "application/json",
             "{\"error\":\"no such route\"}",
         ),
-    }
+    };
+    // A shutdown, a queued cancel or a refused submit may have finished
+    // the drain. Wake the accept loop only once the response is out: a
+    // process that exits on drain must still answer this request.
+    wake_accept_if_exiting(core);
+    sent
 }
 
 fn post_job(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result<(), ServeError> {
@@ -543,6 +551,7 @@ fn post_job(core: &Arc<Core>, stream: &mut TcpStream, body: &str) -> Result<(), 
             spec: spec.clone(),
             state: JobState::Submitted,
             cancel: Arc::new(AtomicBool::new(false)),
+            accepted: Instant::now(),
         },
     );
     core.outstanding.fetch_add(1, Ordering::SeqCst);
@@ -752,13 +761,10 @@ fn get_stream(
         .join(id)
         .join("events.jsonl");
     let resume_after = crate::live::parse_last_event_id(req.header("last-event-id"));
-    let core_for_poll = Arc::clone(core);
-    let id = id.to_owned();
-    match crate::live::stream_sse(stream, &path, resume_after, &move || {
-        // A job deleted mid-stream (never happens today) ends the tail
-        // rather than spinning forever.
-        job_terminal(&core_for_poll, &id) != Some(false)
-    }) {
+    // A job deleted mid-stream (never happens today) ends the tail
+    // rather than spinning forever.
+    let is_terminal = || job_terminal(core, id) != Some(false);
+    match crate::live::stream_sse(stream, &path, resume_after, &is_terminal, &core.job_changes) {
         Err(ServeError::Disconnected(_)) => Ok(()), // reap quietly
         other => other,
     }
@@ -964,15 +970,15 @@ fn post_cancel(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(),
                 JobState::Submitted => {
                     core.queue.remove(id);
                     entry.state = JobState::Cancelled;
-                    Some(("cancelled", true))
+                    Some(("cancelled", Some(entry.accepted)))
                 }
                 JobState::Running => {
                     // Cooperative: the worker notices the flag, stops
                     // dispatching, and journals the terminal state.
                     entry.cancel.store(true, Ordering::SeqCst);
-                    Some(("cancelling", false))
+                    Some(("cancelling", None))
                 }
-                terminal => Some((terminal.wire_name(), false)),
+                terminal => Some((terminal.wire_name(), None)),
             },
         }
     };
@@ -983,12 +989,12 @@ fn post_cancel(core: &Arc<Core>, stream: &mut TcpStream, id: &str) -> Result<(),
             "application/json",
             "{\"error\":\"unknown job\"}",
         ),
-        Some((status, was_queued)) => {
-            if was_queued {
+        Some((status, dequeued)) => {
+            // A job cancelled while queued turns terminal here; a
+            // running one does in its worker.
+            if let Some(accepted) = dequeued {
                 journal_append(core, id, &JobState::Cancelled, None);
-                core.metrics
-                    .counter_add("radcrit_serve_jobs_total", &[("state", "cancelled")], 1);
-                core.outstanding.fetch_sub(1, Ordering::SeqCst);
+                record_terminal(core, &JobState::Cancelled, accepted);
             }
             let body = format!("{{\"job\":\"{id}\",\"status\":\"{status}\"}}");
             respond(stream, 200, "application/json", &body)

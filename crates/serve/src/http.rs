@@ -7,9 +7,73 @@
 //! every exchange is one connection.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::error::ServeError;
+
+/// How long a handler thread waits on a silent client before giving up
+/// on its request.
+const HANDLER_READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Accepts connections on `listener` until `exit(state)` holds. Each
+/// connection gets its own short-lived thread, which reads one request
+/// and hands it to `route` (a malformed request is answered `400`).
+///
+/// The accept blocks: whoever makes `exit` true must call [`wake`] on
+/// the listener's address afterwards. `exit` is re-checked after every
+/// accept, so the waking connection (or any other one that races it) is
+/// dropped unserved once the loop is done.
+pub fn accept_until<S: Send + Sync + 'static>(
+    listener: &TcpListener,
+    state: &Arc<S>,
+    exit: fn(&S) -> bool,
+    route: fn(&Arc<S>, &mut TcpStream, &Request) -> Result<(), ServeError>,
+) {
+    while !exit(state) {
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                // Out of descriptors or similar: back off instead of
+                // spinning on the same error.
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            }
+        };
+        if exit(state) {
+            break;
+        }
+        let state = Arc::clone(state);
+        std::thread::spawn(move || {
+            let _ = stream.set_read_timeout(Some(HANDLER_READ_TIMEOUT));
+            let _ = match read_request(&mut stream) {
+                Ok(request) => route(&state, &mut stream, &request),
+                Err(_) => respond(
+                    &mut stream,
+                    400,
+                    "application/json",
+                    "{\"error\":\"bad request\"}",
+                ),
+            };
+        });
+    }
+}
+
+/// Unblocks an [`accept_until`] loop listening on `addr` with one
+/// connection that carries no request. A listener bound to the
+/// unspecified address is reached over loopback. A loop that already
+/// exited refuses the connection, which is fine.
+pub fn wake(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+}
 
 /// Upper bound on accepted request bodies (a job spec is < 1 KiB; this
 /// leaves two orders of magnitude of slack).
@@ -348,6 +412,33 @@ mod tests {
             matches!(result, Err(ServeError::Protocol(ref m)) if m.contains("head")),
             "expected a head-limit protocol error, got {result:?}"
         );
+    }
+
+    #[test]
+    fn wake_unblocks_accept_until_on_an_unspecified_bind() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        assert!(addr.ip().is_unspecified());
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                accept_until(
+                    &listener,
+                    &stop,
+                    |s| s.load(Ordering::SeqCst),
+                    |_, _, _| Ok(()),
+                );
+                tx.send(()).unwrap();
+            });
+        }
+        stop.store(true, Ordering::SeqCst);
+        wake(addr);
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("a woken accept loop must exit");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::net::TcpStream;
 use std::path::Path;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use radcrit_obs::CriticalityAggregator;
@@ -35,8 +36,52 @@ use radcrit_obs::CriticalityAggregator;
 use crate::error::ServeError;
 use crate::http::respond_chunked;
 
-/// How often the SSE tail re-checks a live event file for new lines.
+/// The longest an SSE tail waits before re-reading a live event file.
+/// It bounds only how late lines appended mid-run are noticed: state
+/// changes notify the tail's [`Wakeup`] and end the wait at once.
 pub const TAIL_POLL: Duration = Duration::from_millis(50);
+
+/// A generation counter that waiters can block on: the server bumps it
+/// on every state change a tail might be waiting for.
+///
+/// Read [`Wakeup::generation`] *before* sampling the state, then wait
+/// with [`Wakeup::wait_past`] on that generation. A change that lands
+/// between the sample and the wait has already bumped the counter, so
+/// the wait returns at once instead of sleeping through it.
+#[derive(Debug, Default)]
+pub struct Wakeup {
+    generation: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl Wakeup {
+    /// A counter at generation 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The current generation.
+    pub fn generation(&self) -> u64 {
+        *self.generation.lock().expect("wakeup lock")
+    }
+
+    /// Bumps the generation and wakes every waiter.
+    pub fn notify(&self) {
+        *self.generation.lock().expect("wakeup lock") += 1;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the generation differs from `seen` or `timeout`
+    /// elapses. Returns whether the generation moved.
+    pub fn wait_past(&self, seen: u64, timeout: Duration) -> bool {
+        let generation = self.generation.lock().expect("wakeup lock");
+        let (generation, _) = self
+            .changed
+            .wait_timeout_while(generation, timeout, |g| *g == seen)
+            .expect("wakeup lock");
+        *generation != seen
+    }
+}
 
 /// How long an SSE stream may stay silent before a `: ping` comment
 /// frame is emitted. Keep-alives defeat idle-connection reaping by
@@ -65,8 +110,10 @@ pub fn fold_events_file(path: &Path) -> Result<CriticalityAggregator, ServeError
 /// job finished *and* the file is exhausted; a final id-less
 /// `event: end` frame tells well-behaved clients to close instead of
 /// auto-reconnecting. The file may not exist yet (job still queued) —
-/// the tail waits for it to appear. After [`SSE_PING_INTERVAL`] of
-/// silence a `: ping` comment frame keeps the connection warm.
+/// the tail waits for it to appear. Between reads the tail waits on
+/// `wakeup` for at most [`TAIL_POLL`]; whoever flips `is_terminal()`
+/// must notify it afterwards. After [`SSE_PING_INTERVAL`] of silence a
+/// `: ping` comment frame keeps the connection warm.
 ///
 /// # Errors
 ///
@@ -77,12 +124,14 @@ pub fn stream_sse(
     events_path: &Path,
     resume_after: Option<u64>,
     is_terminal: &dyn Fn() -> bool,
+    wakeup: &Wakeup,
 ) -> Result<(), ServeError> {
     stream_sse_with_ping(
         stream,
         events_path,
         resume_after,
         is_terminal,
+        wakeup,
         SSE_PING_INTERVAL,
     )
 }
@@ -94,6 +143,7 @@ fn stream_sse_with_ping(
     events_path: &Path,
     resume_after: Option<u64>,
     is_terminal: &dyn Fn() -> bool,
+    wakeup: &Wakeup,
     ping_interval: Duration,
 ) -> Result<(), ServeError> {
     let first = resume_after.map_or(0, |n| n.saturating_add(1));
@@ -110,6 +160,9 @@ fn stream_sse_with_ping(
         let mut line_no: u64 = 0; // ordinal of the line starting at pos
         let mut last_sent = std::time::Instant::now();
         loop {
+            // The generation is read before the state: a transition
+            // after this point makes the wait below return at once.
+            let seen = wakeup.generation();
             // The file appears only once the worker claims the job.
             let settled = is_terminal();
             if file.is_none() {
@@ -155,7 +208,7 @@ fn stream_sse_with_ping(
                     send(": ping\n\n")?;
                     last_sent = std::time::Instant::now();
                 }
-                std::thread::sleep(TAIL_POLL);
+                wakeup.wait_past(seen, TAIL_POLL);
             }
         }
     });
@@ -200,7 +253,7 @@ mod tests {
         let path = path.to_path_buf();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            stream_sse(&mut stream, &path, resume_after, &|| true).unwrap();
+            stream_sse(&mut stream, &path, resume_after, &|| true, &Wakeup::new()).unwrap();
         });
         let mut client = TcpStream::connect(addr).unwrap();
         let response = read_response(&mut client).unwrap();
@@ -248,9 +301,13 @@ mod tests {
             let terminal = Arc::clone(&terminal);
             std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
-                stream_sse(&mut stream, &path, None, &|| {
-                    terminal.load(Ordering::SeqCst)
-                })
+                stream_sse(
+                    &mut stream,
+                    &path,
+                    None,
+                    &|| terminal.load(Ordering::SeqCst),
+                    &Wakeup::new(),
+                )
                 .unwrap();
             })
         };
@@ -283,7 +340,7 @@ mod tests {
             std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
                 // Never terminal: only the deletion can end the tail.
-                stream_sse(&mut stream, &path, None, &|| false)
+                stream_sse(&mut stream, &path, None, &|| false, &Wakeup::new())
             })
         };
         let mut client = TcpStream::connect(addr).unwrap();
@@ -309,7 +366,7 @@ mod tests {
                 let (mut stream, _) = listener.accept().unwrap();
                 // Never terminal: the tail keeps writing until the
                 // client-side drop turns writes into errors.
-                stream_sse(&mut stream, &path, None, &|| false)
+                stream_sse(&mut stream, &path, None, &|| false, &Wakeup::new())
             })
         };
         drop(TcpStream::connect(addr).unwrap());
@@ -359,6 +416,7 @@ mod tests {
                     &path,
                     resume_after,
                     &|| terminal.load(Ordering::SeqCst),
+                    &Wakeup::new(),
                     Duration::from_millis(30),
                 )
                 .unwrap();
@@ -418,6 +476,47 @@ mod tests {
         assert!(body.contains("id: 2\ndata: {\"e\":\"c\"}\n\n"), "{body}");
         assert!(body.contains(": ping\n\n"), "{body}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_notify_between_generation_and_wait_is_not_lost() {
+        let wakeup = Wakeup::new();
+        let seen = wakeup.generation();
+        wakeup.notify(); // lands after the read, before the wait
+        let started = std::time::Instant::now();
+        assert!(wakeup.wait_past(seen, Duration::from_secs(30)));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "an already-bumped generation must not wait out the timeout"
+        );
+    }
+
+    #[test]
+    fn wait_past_without_notify_returns_after_its_timeout() {
+        let wakeup = Wakeup::new();
+        let seen = wakeup.generation();
+        let timeout = Duration::from_millis(60);
+        let started = std::time::Instant::now();
+        assert!(!wakeup.wait_past(seen, timeout));
+        assert!(started.elapsed() >= timeout);
+        assert_eq!(wakeup.generation(), seen);
+    }
+
+    #[test]
+    fn notify_from_another_thread_ends_the_wait() {
+        let wakeup = Arc::new(Wakeup::new());
+        let seen = wakeup.generation();
+        let notifier = {
+            let wakeup = Arc::clone(&wakeup);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                wakeup.notify();
+            })
+        };
+        let started = std::time::Instant::now();
+        assert!(wakeup.wait_past(seen, Duration::from_secs(30)));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        notifier.join().unwrap();
     }
 
     #[test]

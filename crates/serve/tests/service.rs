@@ -328,3 +328,96 @@ fn backpressure_and_draining_refuse_new_jobs() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `f` on a helper thread and fails instead of hanging when it does
+/// not return within `limit`: the accept loop blocks, so a missed wakeup
+/// would otherwise stall the test forever.
+fn returns_within(limit: Duration, what: &str, f: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("{what} did not return within {limit:?}"));
+}
+
+/// Waits until a worker has claimed `id` (it may already have finished).
+fn wait_started(client: &Client, id: &str) {
+    let deadline = Instant::now() + WAIT;
+    while client.status(id).unwrap().state == "submitted" {
+        assert!(Instant::now() < deadline, "{id} never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn shutdown_with_a_running_job_exits_once_that_job_ends() {
+    let dir = temp_dir("drain-running");
+    let handle = daemon::start(config(&dir, 1)).unwrap();
+    let client = Client::new(handle.addr().to_string());
+
+    // A finished job lands in the end-to-end latency histogram.
+    let quick = client.submit(&dgemm_spec(32, 10, 11)).unwrap();
+    assert_eq!(client.wait(&quick, POLL, WAIT).unwrap().state, "done");
+    let metrics = client.metrics().unwrap();
+    assert!(
+        metrics.contains("radcrit_serve_job_latency_us_count 1\n"),
+        "one terminal job, one latency sample:\n{metrics}"
+    );
+
+    // Drain with one job in flight: the worker's terminal transition is
+    // what must wake the accept loop.
+    let running = client.submit(&dgemm_spec(64, 2000, 12)).unwrap();
+    wait_started(&client, &running);
+    client.shutdown().unwrap();
+    returns_within(WAIT, "join after draining a running job", move || {
+        handle.join()
+    });
+    assert!(
+        dir.join("jobs").join(&running).join("result.json").exists(),
+        "the running job must finish during the drain"
+    );
+    assert!(client.healthz().is_err(), "daemon must be gone after drain");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_exits_when_a_queued_job_is_cancelled_mid_drain() {
+    let dir = temp_dir("drain-cancel");
+    let handle = daemon::start(config(&dir, 1)).unwrap();
+    let client = Client::new(handle.addr().to_string());
+
+    let running = client.submit(&dgemm_spec(64, 200_000, 13)).unwrap();
+    wait_started(&client, &running);
+    let queued = client.submit(&dgemm_spec(32, 10, 14)).unwrap();
+    client.shutdown().unwrap();
+
+    // With the only worker busy, the queued job is cancelled off the
+    // queue: its terminal transition happens in the HTTP handler.
+    assert_eq!(client.cancel(&queued).unwrap(), "cancelled");
+    assert!(
+        client.healthz().is_ok(),
+        "a drain with a job still running must not exit early"
+    );
+    // The running job's cancel ends the drain.
+    assert_eq!(client.cancel(&running).unwrap(), "cancelling");
+    returns_within(WAIT, "join after cancelling mid-drain", move || {
+        handle.join()
+    });
+    assert!(client.healthz().is_err(), "daemon must be gone after drain");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn abrupt_stop_of_an_idle_daemon_returns() {
+    let dir = temp_dir("abrupt-idle");
+    let handle = daemon::start(config(&dir, 2)).unwrap();
+    let client = Client::new(handle.addr().to_string());
+    client.healthz().unwrap();
+    returns_within(WAIT, "shutdown_abrupt on an idle daemon", move || {
+        handle.shutdown_abrupt()
+    });
+    assert!(client.healthz().is_err(), "daemon must be gone after stop");
+    std::fs::remove_dir_all(&dir).ok();
+}
