@@ -10,8 +10,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod history;
-
 use radcrit_campaign::summary::{CampaignSummary, ScatterPoint};
 use radcrit_core::fit::FitBreakdown;
 use radcrit_core::locality::SpatialClass;

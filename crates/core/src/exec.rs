@@ -82,13 +82,10 @@ fn detect() -> Isa {
 }
 
 /// The best ISA this host's hardware supports, ignoring every
-/// override — scoped guards, [`force_scalar`], and the
-/// `RADCRIT_FORCE_SCALAR` pin alike. This is what detection would pick
-/// on an unpinned start; benchmark gating uses it to tell "pinned to
-/// scalar on a vector host" apart from "a genuinely scalar host".
-/// Uncached — callers are cold paths.
-#[must_use]
-pub fn hardware() -> Isa {
+/// override. [`detect`] calls it once the `RADCRIT_FORCE_SCALAR` pin
+/// is ruled out, so one portable binary picks its backend at runtime
+/// rather than at compile time.
+fn hardware() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")

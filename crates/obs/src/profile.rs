@@ -254,7 +254,7 @@ static STRIDE: AtomicU64 = AtomicU64::new(0);
 
 /// Overrides the tile-sampling stride process-wide (clamped to ≥ 1).
 /// Intended for deep offline captures where overhead does not matter —
-/// e.g. `diff-bench`'s untimed profiled rep.
+/// e.g. `perfbench`'s traced run, which is not the timed one.
 pub fn set_tile_sample_stride(stride: u64) {
     STRIDE.store(stride.max(1), Ordering::Relaxed);
 }

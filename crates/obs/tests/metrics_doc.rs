@@ -1,16 +1,82 @@
-//! Drift test between `METRIC_REFERENCE` and `docs/METRICS.md`: every
-//! registered help entry must have a documented row with the right
-//! exposition type, and the doc must not list metrics that no longer
-//! exist.
+//! Drift tests between the code and the docs: every registered help
+//! entry in `METRIC_REFERENCE` must have a documented row in
+//! `docs/METRICS.md` with the right exposition type, the doc must not
+//! list metrics that no longer exist, and the alert rule lists in
+//! `docs/METRICS.md` and `docs/TRACING.md` must name exactly
+//! `AlertRule::ALL`.
 
 use std::path::PathBuf;
 
 use radcrit_obs::metrics::METRIC_REFERENCE;
+use radcrit_obs::AlertRule;
+
+fn doc_file(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../docs")
+        .join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("docs/{name} missing at {}: {e}", path.display()))
+}
 
 fn doc_text() -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/METRICS.md");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("docs/METRICS.md missing at {}: {e}", path.display()))
+    doc_file("METRICS.md")
+}
+
+/// The rule list in the `heading` section of `doc`: the count word
+/// right before "rules" (skipping "typed") and the backticked names
+/// from the colon that follows it to the end of the sentence.
+fn rule_list(doc: &str, heading: &str) -> (String, Vec<String>) {
+    let start = doc
+        .find(heading)
+        .unwrap_or_else(|| panic!("section {heading:?} missing"));
+    let section = &doc[start + heading.len()..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+    let colon = section
+        .match_indices(':')
+        .map(|(at, _)| at)
+        .find(|&at| section[at + 1..].trim_start().starts_with('`'))
+        .unwrap_or_else(|| panic!("{heading:?} has no rule list after a colon"));
+    let words: Vec<&str> = section[..colon]
+        .split_whitespace()
+        .filter(|w| *w != "typed")
+        .collect();
+    let rules_at = words
+        .iter()
+        .rposition(|w| *w == "rules")
+        .unwrap_or_else(|| panic!("{heading:?}: no \"rules\" before the list"));
+    let count = words[rules_at - 1].to_owned();
+    let list = &section[colon + 1..];
+    let list = &list[..list.find('.').expect("the list ends a sentence")];
+    let names = list
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_owned)
+        .collect();
+    (count, names)
+}
+
+#[test]
+fn the_alert_rule_lists_in_the_docs_match_the_enum() {
+    const WORDS: [&str; 11] = [
+        "zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
+    ];
+    let names: Vec<String> = AlertRule::ALL.iter().map(|r| r.name().to_owned()).collect();
+    let count = WORDS[names.len()];
+    for (file, heading) in [
+        ("METRICS.md", "## Alerting"),
+        ("TRACING.md", "## Health alerts"),
+    ] {
+        let (doc_count, doc_names) = rule_list(&doc_file(file), heading);
+        assert_eq!(
+            doc_names, names,
+            "docs/{file} \"{heading}\" lists other rules than AlertRule::ALL"
+        );
+        assert_eq!(
+            doc_count, count,
+            "docs/{file} \"{heading}\" gives the wrong rule count"
+        );
+    }
 }
 
 #[test]
