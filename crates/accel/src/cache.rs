@@ -21,6 +21,7 @@
 //! isolates the strike.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use radcrit_core::exec::{self, KernelExecutor};
 use rand::Rng;
@@ -182,13 +183,11 @@ struct SetBlock([u64; 8]);
 /// stays within one host cache line for a 4-way set instead of hitting
 /// separate tag and use slabs. Vacant slots hold the [`VACANT`] tag and
 /// use-tick 0; the hit scan compares a contiguous, fixed-width run of
-/// `u64` tags — which vectorizes — and snapshot restores are flat
-/// `clone_from`s. Slot order within a set mirrors `Vec` semantics
-/// exactly (push appends, eviction swap-removes), so LRU victims,
-/// strike sampling order and flush order are unchanged.
+/// `u64` tags — which vectorizes. Slot order within a set mirrors `Vec`
+/// semantics exactly (push appends, eviction swap-removes), so LRU
+/// victims, strike sampling order and flush order are unchanged.
 #[derive(Debug, Clone)]
 struct SetAssocCache {
-    geom: CacheGeometry,
     assoc: usize,
     /// `u64`s per set in `slab`: `2 * assoc` rounded up to a block.
     stride: usize,
@@ -233,7 +232,6 @@ impl SetAssocCache {
         let mut slab = vec![SetBlock([0; 8]); geom.sets() * stride / 8];
         fill_vacant(&mut slab, geom.sets(), stride, assoc);
         SetAssocCache {
-            geom,
             assoc,
             stride,
             slab,
@@ -288,24 +286,75 @@ impl SetAssocCache {
         (self.lens.len() + self.resident) * WAY_ACCT_BYTES + flips
     }
 
-    /// Makes `self` state-identical to `src`, reusing existing heap
-    /// allocations (`Vec::clone_from` keeps buffers, `HashMap` keeps its
-    /// table) — the hot path of snapshot resume, where a fresh `clone`
-    /// per injection would re-allocate every slab.
-    fn restore_from(&mut self, src: &SetAssocCache) {
-        self.geom = src.geom;
-        self.assoc = src.assoc;
-        self.stride = src.stride;
-        self.set_mod = src.set_mod;
-        self.slab.clone_from(&src.slab);
-        self.dirty.clone_from(&src.dirty);
-        self.lens.clone_from(&src.lens);
-        self.flips.clone_from(&src.flips);
-        self.tick = src.tick;
-        self.hits = src.hits;
-        self.misses = src.misses;
-        self.resident = src.resident;
-        self.track_dirty = src.track_dirty;
+    /// The words [`SetAssocCache::freeze_into`] appends.
+    fn frozen_words(&self) -> usize {
+        let occupied = self.lens.iter().filter(|&&l| l > 0).count();
+        5 + 2 * occupied + 2 * self.resident
+    }
+
+    /// Appends this cache's run state to `out` (see [`FrozenCaches`]):
+    /// tick, hits, misses and residency, the number of occupied sets,
+    /// then per occupied set its index and length, a bitmask of its dirty
+    /// ways, and its ways' tags and use ticks. Vacant slots (the tail of
+    /// each set) hold the vacant tag, use tick 0 and a clear dirty byte,
+    /// so they need no words.
+    fn freeze_into(&self, out: &mut Vec<u64>) {
+        assert!(self.assoc <= 64, "one dirty word holds at most 64 ways");
+        out.extend([self.tick, self.hits, self.misses, self.resident as u64]);
+        let occupied_at = out.len();
+        out.push(0);
+        let slab = self.slab_u64();
+        for (set, &len) in self.lens.iter().enumerate().filter(|(_, &l)| l > 0) {
+            let (len, base) = (len as usize, set * self.stride);
+            let dirty = self.dirty[set * self.assoc..set * self.assoc + len]
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (w, &d)| m | u64::from(d != 0) << w);
+            out.extend([(set as u64) << 32 | len as u64, dirty]);
+            out.extend_from_slice(&slab[base..base + len]);
+            out.extend_from_slice(&slab[base + self.assoc..base + self.assoc + len]);
+            out[occupied_at] += 1;
+        }
+    }
+
+    /// Overwrites this cache's run state from the front of `src`, which
+    /// [`SetAssocCache::freeze_into`] wrote for a cache of the same
+    /// geometry, and advances `src` past it. Reuses every allocation:
+    /// the hot path of snapshot resume.
+    fn thaw_from(&mut self, src: &mut &[u64]) {
+        fn take<'a>(src: &mut &'a [u64], n: usize) -> &'a [u64] {
+            let (head, tail) = src.split_at(n);
+            *src = tail;
+            head
+        }
+        let &[tick, hits, misses, resident, occupied] = take(src, 5) else {
+            unreachable!("take returns exactly five words")
+        };
+        (self.tick, self.hits, self.misses) = (tick, hits, misses);
+        self.resident = resident as usize;
+        let (sets, stride, assoc) = (self.lens.len(), self.stride, self.assoc);
+        fill_vacant(&mut self.slab, sets, stride, assoc);
+        self.dirty.fill(0);
+        self.lens.fill(0);
+        self.flips.clear();
+        for _ in 0..occupied {
+            let &[head, dirty] = take(src, 2) else {
+                unreachable!("take returns exactly two words")
+            };
+            let (set, len) = ((head >> 32) as usize, head as u32);
+            let ways = take(src, 2 * len as usize);
+            let base = set * stride;
+            let slab = self.slab_u64_mut();
+            slab[base..base + len as usize].copy_from_slice(&ways[..len as usize]);
+            slab[base + assoc..base + assoc + len as usize].copy_from_slice(&ways[len as usize..]);
+            for (w, d) in self.dirty[set * assoc..set * assoc + len as usize]
+                .iter_mut()
+                .enumerate()
+            {
+                *d = (dirty >> w & 1) as u8;
+            }
+            self.lens[set] = len;
+        }
     }
 
     /// Touches `line`; returns the evicted line's `(line, dirty, flips)`
@@ -576,6 +625,29 @@ pub struct CacheStats {
     pub l2_resident_lines: usize,
 }
 
+/// A clean [`CacheHierarchy`] frozen as golden snapshots keep it: per
+/// cache (L1s in unit order, then the L2) one flat buffer of its occupied
+/// ways and counters, sized by the resident lines rather than by the
+/// capacity. A cache no access touched since the previous snapshot
+/// shares that snapshot's buffer, so a set of snapshots stores and frees
+/// each L1 state once, not once per snapshot. A golden hierarchy holds no
+/// flips, watched lines or escaped corruption, so there is nothing else
+/// to keep.
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenCaches {
+    caches: Vec<Arc<[u64]>>,
+    /// [`CacheHierarchy::approx_heap_bytes`] at freezing: what snapshot
+    /// budgets charge for the hierarchy.
+    accounted_bytes: usize,
+}
+
+impl FrozenCaches {
+    /// The bytes snapshot budgets charge for these caches.
+    pub(crate) fn approx_heap_bytes(&self) -> usize {
+        self.accounted_bytes
+    }
+}
+
 /// The per-device cache hierarchy: one private L1 per unit plus a shared
 /// L2 (the Phi's per-core L2s are coherent over the ring and act as one
 /// shared structure, §IV-A).
@@ -598,7 +670,9 @@ pub struct CacheHierarchy {
     /// a load observed a non-zero mask, or a dirty corrupted line wrote
     /// back to DRAM mid-run. While this is `false` and no flips are
     /// pending, every executed tile has computed exactly the golden
-    /// values — the basis for the engine's dead-strike early exit.
+    /// values; from the tile during which it turns `true`, the engine
+    /// treats every store as possibly corrupted (the cone of its early
+    /// exit).
     pub(crate) corruption_touched: bool,
 }
 
@@ -705,21 +779,54 @@ impl CacheHierarchy {
             + self.corrupted_watch.len() * 8
     }
 
-    /// Makes `self` state-identical to `src`, reusing heap allocations
-    /// where layouts agree (see [`SetAssocCache::restore_from`]).
-    pub(crate) fn restore_from(&mut self, src: &CacheHierarchy) {
-        if self.l1.len() == src.l1.len() {
-            for (dst, s) in self.l1.iter_mut().zip(&src.l1) {
-                dst.restore_from(s);
-            }
-        } else {
-            self.l1.clone_from(&src.l1);
+    /// Freezes the run state of a hierarchy that holds no corruption
+    /// (a golden run's) for a snapshot. `previous` is the same run's
+    /// last frozen state: a cache whose tick has not moved since (no
+    /// access touched it) shares its buffer.
+    pub(crate) fn freeze(&self, previous: Option<&FrozenCaches>) -> FrozenCaches {
+        debug_assert!(
+            !self.corruption_touched
+                && self.corrupted_watch.is_empty()
+                && !self.has_pending_corruption(),
+            "only a clean hierarchy is frozen"
+        );
+        let caches = self
+            .l1
+            .iter()
+            .chain([&self.l2])
+            .enumerate()
+            .map(|(i, c)| match previous.and_then(|p| p.caches.get(i)) {
+                // The first word is the tick (see `freeze_into`).
+                Some(prev) if prev[0] == c.tick => Arc::clone(prev),
+                _ => {
+                    let mut words = Vec::with_capacity(c.frozen_words());
+                    c.freeze_into(&mut words);
+                    words.into()
+                }
+            })
+            .collect();
+        FrozenCaches {
+            caches,
+            accounted_bytes: self.approx_heap_bytes(),
         }
-        self.l2.restore_from(&src.l2);
-        self.line_bytes = src.line_bytes;
-        self.line_shift = src.line_shift;
-        self.corrupted_watch.clone_from(&src.corrupted_watch);
-        self.corruption_touched = src.corruption_touched;
+    }
+
+    /// Makes `self` state-identical to the hierarchy `frozen` was taken
+    /// from, which must belong to the same device configuration,
+    /// reusing every allocation.
+    pub(crate) fn thaw_from(&mut self, frozen: &FrozenCaches) {
+        assert_eq!(
+            frozen.caches.len(),
+            self.l1.len() + 1,
+            "frozen caches of another device"
+        );
+        for (c, words) in self.l1.iter_mut().chain([&mut self.l2]).zip(&frozen.caches) {
+            let mut src = &words[..];
+            c.thaw_from(&mut src);
+            assert!(src.is_empty(), "frozen caches of another device");
+        }
+        self.corrupted_watch.clear();
+        self.corruption_touched = false;
     }
 
     #[inline(always)]
@@ -1018,6 +1125,69 @@ mod tests {
         assert_eq!(wb.len(), 1);
         assert_eq!(wb[0].mask, 0xAB);
         assert_eq!(wb[0].byte_addr, info.byte_addr);
+    }
+
+    /// Thawing a frozen hierarchy into another one of the same device,
+    /// which ran something else, reproduces it exactly: the same hits,
+    /// misses and residency on every later access, the same strike
+    /// victim and the same write-backs. The L2 has an odd number of
+    /// sets (three).
+    #[test]
+    fn thawed_caches_behave_like_the_frozen_ones() {
+        let cfg = DeviceConfig::builder("odd")
+            .units(2)
+            .max_threads_per_unit(64)
+            .l1(CacheGeometry::new(256, 64, 2).unwrap())
+            .l2(CacheGeometry::new(384, 64, 2).unwrap())
+            .build()
+            .unwrap();
+        let touch = |h: &mut CacheHierarchy, i: usize| {
+            h.access(i % 2, (i * 72) % 2048, 16, i.is_multiple_of(3));
+        };
+        let mut a = CacheHierarchy::new(&cfg);
+        for i in 0..40 {
+            touch(&mut a, i);
+        }
+        let frozen = a.freeze(None);
+        let mut b = CacheHierarchy::new(&cfg);
+        for i in 0..17 {
+            b.access(1, i * 200, 8, true);
+        }
+        b.thaw_from(&frozen);
+        assert_eq!(a.stats(), b.stats());
+        for i in 40..100 {
+            touch(&mut a, i);
+            touch(&mut b, i);
+            assert_eq!(a.stats(), b.stats(), "access {i}");
+        }
+        let strike = |h: &mut CacheHierarchy| h.strike_l2(&mut SmallRng::seed_from_u64(3), 1);
+        assert_eq!(strike(&mut a), strike(&mut b));
+        assert_eq!(a.flush(), b.flush());
+    }
+
+    /// A cache no access touched since the previous freeze shares that
+    /// freeze's buffer; the shared state still thaws exactly.
+    #[test]
+    fn untouched_caches_share_the_previous_frozen_state() {
+        let mut a = tiny_hierarchy();
+        a.access(1, 0, 64, false);
+        let first = a.freeze(None);
+        a.access(0, 256, 64, true); // unit 0's L1 and the L2 only
+        let second = a.freeze(Some(&first));
+        let shared: Vec<bool> = first
+            .caches
+            .iter()
+            .zip(&second.caches)
+            .map(|(x, y)| Arc::ptr_eq(x, y))
+            .collect();
+        assert_eq!(shared, vec![false, true, false], "L1 0, L1 1, L2");
+        let mut b = tiny_hierarchy();
+        b.thaw_from(&second);
+        for i in 0..30 {
+            a.access(i % 2, i * 64, 8, i.is_multiple_of(2));
+            b.access(i % 2, i * 64, 8, i.is_multiple_of(2));
+            assert_eq!(a.stats(), b.stats(), "access {i}");
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! given program: a fault-free run reproduces the golden output exactly
 //! (the paper computes golden outputs "on the very same device used for
 //! experiments" for the same reason, §IV-D).
+//!
+//! An injection run resumed from a golden-prefix snapshot also ends
+//! early: once no remaining tile can load anything the strike corrupted
+//! (the *cone exit*), the rest of the run would only replay golden work,
+//! so the engine stops and takes the remainder of the outcome from the
+//! golden record. The outcome stays bit-identical to a full run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -16,13 +22,14 @@ use radcrit_core::DirtyRegion;
 use radcrit_obs::profile::{phase_if, profiling_enabled, PhaseId};
 use radcrit_obs::MetricsRegistry;
 
-use crate::cache::CacheHierarchy;
+use crate::cache::{CacheHierarchy, FrozenCaches};
 use crate::config::DeviceConfig;
 use crate::error::AccelError;
 use crate::memory::DeviceMemory;
 use crate::profile::ExecutionProfile;
 use crate::program::{
-    apply_writebacks, MachineCounters, StoreLog, TileCtx, TileFault, TileId, TiledProgram,
+    apply_writebacks, BufferSet, MachineCounters, StoreLog, TileCtx, TileFault, TileId,
+    TiledProgram,
 };
 use crate::scheduler::DispatchPlan;
 use crate::snapshot::{EngineSnapshot, GoldenTable, GoldenTile, SnapshotPolicy, SnapshotSet};
@@ -33,15 +40,19 @@ use crate::trace::{ExecutionTrace, TileTrace};
 ///
 /// Crash/hang outcomes are classified by the fault layer *before*
 /// execution (a crashed run has no output to analyze), so every run
-/// yields an output. The engine runs the program to completion unless it
-/// proves the strike dead first (see
-/// [`RunOutcome::golden_equivalent`]). `strike_delivered` reports
-/// whether the strike found live state to corrupt — `false` means the
-/// strike was architecturally masked (empty cache set, no pending
-/// victim).
+/// yields an output. A run stops executing tiles once it proves that no
+/// remaining tile can load what the strike corrupted. A resumed run then
+/// completes its output, profile and trace from the golden record, so
+/// they equal a full run's; a run whose strike died unobserved instead
+/// stops as it stands (see [`RunOutcome::golden_equivalent`]).
+/// `strike_delivered` reports whether the strike found live state to
+/// corrupt — `false` means the strike was architecturally masked (empty
+/// cache set, no pending victim).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// The output buffer contents after the final cache flush.
+    /// The output buffer contents after the final cache flush (or, after
+    /// a cone exit, with the golden output over the skipped tiles'
+    /// stores).
     pub output: Vec<f64>,
     /// Dynamic profile of the run.
     pub profile: ExecutionProfile,
@@ -56,11 +67,15 @@ pub struct RunOutcome {
     pub dirty: Option<DirtyRegion>,
     /// The engine proved mid-run that every strike died without touching
     /// any observable state (no pending flips, no observed corrupted
-    /// load, no write-back, no armed faults) and stopped executing
-    /// early: by the resumability contract the finished run's output
-    /// would be bit-equal to golden, so callers must skip the output
-    /// compare — the returned buffer may hold stale bytes past the exit
-    /// tile.
+    /// load, no write-back, no tile run with a fault armed) and stopped
+    /// executing early: by the resumability contract the finished run's
+    /// output would be bit-equal to golden, so callers must skip the
+    /// output compare — the returned buffer may hold stale bytes past
+    /// the exit tile, and the profile counts only the tiles run. Full
+    /// and resumed runs stop at the same tile. A resumed run whose strike
+    /// did corrupt state but can reach no remaining tile also stops
+    /// early, but completes its outcome from the golden record and
+    /// leaves this `false`.
     pub golden_equivalent: bool,
 }
 
@@ -119,16 +134,13 @@ impl RunScratch {
             .unwrap_or_else(|| CacheHierarchy::new(cfg))
     }
 
-    /// An owned cache hierarchy equal to `src`, reusing the previous
-    /// run's allocations (set vectors, flip tables) when available.
-    fn caches_of(&mut self, src: &CacheHierarchy) -> CacheHierarchy {
-        match self.spare_caches.take() {
-            Some(mut c) => {
-                c.restore_from(src);
-                c
-            }
-            None => src.clone(),
-        }
+    /// An owned cache hierarchy thawed from `frozen`, reusing the
+    /// previous run's allocations (set vectors, flip tables) when
+    /// available.
+    fn caches_of(&mut self, cfg: &DeviceConfig, frozen: &FrozenCaches) -> CacheHierarchy {
+        let mut c = self.idle_caches(cfg);
+        c.thaw_from(frozen);
+        c
     }
 }
 
@@ -294,6 +306,13 @@ impl Engine {
     /// reports the golden run's cache counters, which its own hierarchy
     /// would have reproduced exactly.
     ///
+    /// A resumed run stops after the first tile past which no remaining
+    /// tile loads a buffer the corrupted part of the run stored to, and
+    /// fills in the rest from the golden record: the suffix's counters,
+    /// the end-of-run cache statistics, and the golden output over the
+    /// suffix's output stores. Its dirty region is then only what it
+    /// stored itself.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Engine::run`].
@@ -323,6 +342,8 @@ impl Engine {
     /// RNG, so the strike resolves, and the output comes out, exactly as
     /// untraced. A resumed trace covers only the tiles from the resume
     /// point on: exactly the tiles a strike at or after it can touch.
+    /// Rows past a cone exit come from the golden table, equal to the
+    /// rows the skipped tiles would have produced.
     ///
     /// # Errors
     ///
@@ -420,19 +441,20 @@ impl Engine {
         };
         let resumed = resume.is_some();
 
+        // The golden record a resumed run may finish from (see the cone
+        // exit below).
+        let table: Option<&GoldenTable> = resume
+            .and(req.snapshots)
+            .and_then(|set| set.golden_table(tiles));
         // Cache-blind resume: with no strike able to perturb the
         // hierarchy, the run executes the golden tile sequence and never
         // holds a pending flip. By the resumability contract it touches
         // exactly the golden addresses, so its hierarchy can change no
-        // loaded value, cause no write-back and never decide the
-        // dead-strike exit: it could only recount the golden run's hits,
-        // misses and residency, which the golden table already holds.
-        let blind: Option<&GoldenTable> = match (resume, req.snapshots) {
-            (Some(_), Some(set)) if !req.strikes.iter().any(|s| s.target.perturbs_cache()) => {
-                set.golden_table(tiles)
-            }
-            _ => None,
-        };
+        // loaded value, cause no write-back and never decide the exit:
+        // it could only recount the golden run's hits, misses and
+        // residency, which the golden table already holds.
+        let blind: Option<&GoldenTable> =
+            table.filter(|_| !req.strikes.iter().any(|s| s.target.perturbs_cache()));
 
         let (mut mem, mut caches, mut totals, mut l2_resident_samples, start_tile) = match resume {
             Some(snap) => {
@@ -445,14 +467,16 @@ impl Engine {
                         sc.ensure_template(program)?;
                         let caches = match blind {
                             Some(_) => sc.idle_caches(&self.cfg),
-                            None => sc.caches_of(&snap.caches),
+                            None => sc.caches_of(&self.cfg, &snap.caches),
                         };
                         (sc.image_of_template(), caches)
                     }
                     None => {
                         let mut m = DeviceMemory::new();
                         program.setup(&mut m)?;
-                        (m, snap.caches.clone())
+                        let mut caches = CacheHierarchy::new(&self.cfg);
+                        caches.thaw_from(&snap.caches);
+                        (m, caches)
                     }
                 };
                 mem.apply_delta(&snap.mem_delta)?;
@@ -551,16 +575,38 @@ impl Engine {
         let mut redirects: Vec<(usize, usize)> = Vec::new();
         let mut unit_garbles: Vec<usize> = Vec::new();
 
-        // Dead-strike early exit: once every strike tile has passed and
-        // no corruption is pending or was ever observed (and no armed
-        // core/scheduler faults exist — those vecs are never drained, so
-        // any delivered non-cache fault blocks the exit forever), the
-        // resumability contract guarantees the remaining tiles compute
-        // exactly the golden values. Stop executing; the caller skips
-        // the compare. Gated on resumable programs only (pathological
-        // kernels fail via cross-tile engine state this proof ignores).
+        // Cone exit. The run can differ from golden only through the
+        // buffers stored (or flipped by a corrupted write-back) by tiles
+        // from the first one that ran with a fault armed, or during which
+        // the hierarchy handed a corrupted value on: the *cone*. After
+        // tile `pos` the run stops once
+        //   - every strike tile has passed (`pos >= last_strike_tile`),
+        //   - no armed fault or unit garble can fire after `pos`
+        //     (`fire_horizon <= pos`),
+        //   - no scheduler skip or redirect was delivered (both change
+        //     which addresses run, so golden counters stop applying),
+        //   - a simulated hierarchy holds no pending corruption, and
+        //   - no tile after `pos` loads from a cone buffer (the golden
+        //     run's `last_load`).
+        // Each remaining tile then reads only golden values, so it
+        // computes exactly what the golden run did. An empty cone (the
+        // strike died unobserved) needs nothing more: the run is
+        // golden-equivalent and the caller skips the compare; full runs
+        // have no golden record and take only this case. Otherwise the
+        // run finishes from the golden table: suffix counters and trace
+        // rows, end-of-run cache statistics, and the golden output over
+        // the suffix's store spans (at the last tile there is no suffix,
+        // so that is no exit). Gated on resumable programs only
+        // (pathological kernels fail via cross-tile engine state this
+        // proof ignores).
         let last_strike_tile = req.strikes.iter().map(|s| s.at_tile).max();
+        let mut fire_horizon = 0;
+        let mut cone_open = false;
+        let mut cone = BufferSet::default();
+        let mut cone_last_load: Option<usize> = None;
         let mut golden_equivalent = false;
+        // Where a cone exit stopped, and the record it finishes from.
+        let mut finish: Option<(usize, &GoldenTable)> = None;
         let prof = profiling_enabled();
         // The cumulative L2 (hits, misses) before dispatch position
         // `next`, read before and after each traced tile.
@@ -576,11 +622,12 @@ impl Engine {
             if let Some((stride, budget)) = capture_plan {
                 if pos % stride == 0 {
                     let _scope = phase_if(prof, PhaseId::SnapshotCapture);
+                    let frozen = caches.freeze(set.snaps.last().map(|s| &s.caches));
                     let captured = set.push(
                         EngineSnapshot {
                             at_tile: pos,
                             mem_delta: mem.written_delta(),
-                            caches: caches.clone(),
+                            caches: frozen,
                             counters: totals,
                             l2_resident_samples,
                         },
@@ -594,8 +641,10 @@ impl Engine {
                 }
             }
 
+            let mut struck = false;
             for s in req.strikes {
                 if s.at_tile == pos {
+                    struck = true;
                     let resolution = self.deliver_strike(
                         s,
                         pos,
@@ -610,6 +659,14 @@ impl Engine {
                     strike_delivered |= resolution.delivered;
                     resolutions.push(resolution);
                 }
+            }
+            if struck {
+                fire_horizon = armed_faults
+                    .iter()
+                    .map(|&(victim, _)| victim)
+                    .chain(unit_garbles.iter().map(|&from| plan.unit_garble_last(from)))
+                    .max()
+                    .unwrap_or(0);
             }
 
             if skip_positions.contains(&pos) {
@@ -646,6 +703,7 @@ impl Engine {
                 program.execute_tile(TileId(effective_tile), &mut ctx)?;
             }
             let c = ctx.drain_counters();
+            let (loaded, stored) = (ctx.loaded, ctx.stored);
             totals.ops += c.ops;
             totals.trans_ops += c.trans_ops;
             totals.loads += c.loads;
@@ -697,28 +755,33 @@ impl Engine {
                     l2_hits: stats.l2_hits,
                     l2_misses: stats.l2_misses,
                     l2_resident_samples,
+                    ops: totals.ops,
+                    trans_ops: totals.trans_ops,
                     loads: totals.loads,
                     stores: totals.stores,
                 });
+                set.golden.note_loads(pos, loaded);
             }
 
+            // A blind run's idle hierarchy holds nothing of this run.
+            let simulated = blind.is_none();
+            cone_open |= fault != TileFault::none() || (simulated && caches.corruption_touched());
+            if cone_open && cone.extend(stored) {
+                cone_last_load = table.and_then(|g| g.last_load_of(cone));
+            }
             if let Some(last) = last_strike_tile {
                 if resumable
                     && capture_plan.is_none()
                     && pos >= last
-                    && armed_faults.is_empty()
+                    && fire_horizon <= pos
                     && skip_positions.is_empty()
                     && redirects.is_empty()
-                    && unit_garbles.is_empty()
-                    && !caches.corruption_touched()
-                    && !caches.has_pending_corruption()
+                    && !(simulated && caches.has_pending_corruption())
+                    && cone_last_load.is_none_or(|p| p <= pos)
+                    && (!cone_open || (table.is_some() && pos + 1 < tiles))
                 {
-                    // Every strike a cache-blind run admits arms a fault
-                    // that the vectors above keep forever, so such a run
-                    // always executes every tile (its counters are the
-                    // golden run's end-of-run ones).
-                    debug_assert!(blind.is_none(), "a cache-blind run never exits early");
-                    golden_equivalent = true;
+                    golden_equivalent = !cone_open;
+                    finish = table.filter(|_| cone_open).map(|g| (pos, g));
                     if let Some(m) = self.metrics.as_deref() {
                         m.counter_add("radcrit_run_dead_strike_exits_total", &[], 1);
                     }
@@ -729,15 +792,44 @@ impl Engine {
 
         self.phase_done("tiles", &mut phase_start);
 
+        // A run that took the cone exit finishes from the golden record:
+        // the counters and trace rows of the positions it did not run,
+        // and the golden end-of-run cache state (its own hierarchy holds
+        // no pending corruption and matches golden, so flushing it would
+        // write nothing back).
+        if let Some((pos, g)) = finish {
+            let rest = g.counters_after(pos);
+            totals.ops += rest.ops;
+            totals.trans_ops += rest.trans_ops;
+            totals.loads += rest.loads;
+            totals.stores += rest.stores;
+            l2_resident_samples = g.tiles[tiles - 1].l2_resident_samples;
+            if let Some(tr) = trace {
+                for p in pos + 1..tiles {
+                    let (now, before) = (&g.tiles[p], &g.tiles[p - 1]);
+                    tr.push(TileTrace {
+                        pos: p,
+                        unit: plan.unit_of(p),
+                        ops: now.ops - before.ops,
+                        trans_ops: now.trans_ops - before.trans_ops,
+                        loads: now.loads - before.loads,
+                        stores: now.stores - before.stores,
+                        l2_hits: now.l2_hits - before.l2_hits,
+                        l2_misses: now.l2_misses - before.l2_misses,
+                    });
+                }
+            }
+        }
+
         // End of kernel: flush the hierarchy; dirty corrupted lines write
         // their corruption back to DRAM where the host reads the output.
         // A cache-blind run's hierarchy holds nothing of this run.
-        if blind.is_none() {
+        if blind.is_none() && finish.is_none() {
             let wbs = caches.flush();
             apply_writebacks(&mut mem, &wbs, store_log.as_mut());
         }
 
-        let output = mem.take_vec(program.output())?;
+        let mut output = mem.take_vec(program.output())?;
         program
             .output_shape()
             .check_len(output.len())
@@ -761,17 +853,21 @@ impl Engine {
         // actually stored (plus corrupted write-backs) union the golden
         // suffix spans — a tile the fault skipped keeps golden-at-resume
         // bytes that the golden suffix would have overwritten, so both
-        // sides are needed.
+        // sides are needed. A cone exit fills the suffix spans with the
+        // golden output instead, leaving only its own stores to compare.
         let dirty = match (resumed, req.snapshots) {
             (true, Some(snaps)) => {
                 let mut spans = store_log.map(|l| l.spans).unwrap_or_default();
-                spans.extend(snaps.golden_spans_from(start_tile));
+                match finish {
+                    Some((pos, _)) => snaps.fill_golden_suffix(&mut output, pos + 1),
+                    None => spans.extend(snaps.golden_spans_from(start_tile)),
+                }
                 Some(DirtyRegion::from_spans(spans, output.len()))
             }
             _ => None,
         };
 
-        let stats = match blind {
+        let stats = match blind.or(finish.map(|(_, g)| g)) {
             Some(g) => g.end,
             None => caches.stats(),
         };
@@ -780,6 +876,8 @@ impl Engine {
             if set.is_empty() {
                 // No snapshot, no resume: the table would never be read.
                 set.golden = GoldenTable::default();
+            } else {
+                set.golden_output.clone_from(&output);
             }
         }
         let line_bytes = caches.line_bytes() as f64;
@@ -1749,6 +1847,254 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(1);
         let _ = engine.run_injection(&mut p, &s, &mut rng, Some(&set), &mut RunScratch::new());
+    }
+
+    /// The outcome of a full traced run and of a resumed traced run of
+    /// the same strike, plus the resumed run's early-exit count (an
+    /// untraced resumed run must match it).
+    fn full_and_resumed<P: TiledProgram>(
+        p: &mut P,
+        cfg: DeviceConfig,
+        strike: &StrikeSpec,
+        seed: u64,
+    ) -> (
+        (RunOutcome, ExecutionTrace),
+        (RunOutcome, ExecutionTrace),
+        u64,
+    ) {
+        let metrics = std::sync::Arc::new(MetricsRegistry::new());
+        let engine = Engine::new(cfg).with_metrics(metrics.clone());
+        let (_, set) = engine
+            .golden_snapshotted(
+                p,
+                &SnapshotPolicy {
+                    stride: 1,
+                    max_bytes: 0,
+                },
+            )
+            .unwrap();
+        let full = engine
+            .run_injection_traced(
+                p,
+                strike,
+                &mut SmallRng::seed_from_u64(seed),
+                None,
+                &mut RunScratch::new(),
+            )
+            .unwrap();
+        let exits = || {
+            metrics
+                .snapshot()
+                .counter("radcrit_run_dead_strike_exits_total", &[])
+                .unwrap_or(0)
+        };
+        let before = exits();
+        let resumed = engine
+            .run_injection_traced(
+                p,
+                strike,
+                &mut SmallRng::seed_from_u64(seed),
+                Some(&set),
+                &mut RunScratch::new(),
+            )
+            .unwrap();
+        let traced_exits = exits() - before;
+        // The untraced resumed run takes the same path.
+        let untraced = engine
+            .run_injection(
+                p,
+                strike,
+                &mut SmallRng::seed_from_u64(seed),
+                Some(&set),
+                &mut RunScratch::new(),
+            )
+            .unwrap();
+        assert_eq!(bits(&untraced.output), bits(&resumed.0.output));
+        assert_eq!(untraced.profile, resumed.0.profile);
+        assert_eq!(exits() - before, 2 * traced_exits, "same exit untraced");
+        (full, resumed, traced_exits)
+    }
+
+    /// Asserts a resumed outcome equals the full run's: output bits,
+    /// profile, resolutions, the trace from the resume point (stride 1:
+    /// the strike tile) on, and a dirty region covering every element
+    /// that differs from golden.
+    fn assert_matches_full(
+        (full, full_trace): &(RunOutcome, ExecutionTrace),
+        (resumed, resumed_trace): &(RunOutcome, ExecutionTrace),
+        golden: &[f64],
+        at_tile: usize,
+    ) {
+        assert_eq!(bits(&full.output), bits(&resumed.output));
+        assert_eq!(full.profile, resumed.profile);
+        assert_eq!(full.resolutions, resumed.resolutions);
+        assert!(!resumed.golden_equivalent);
+        let suffix: Vec<TileTrace> = full_trace
+            .tiles()
+            .iter()
+            .filter(|t| t.pos >= at_tile)
+            .copied()
+            .collect();
+        assert_eq!(resumed_trace.tiles(), &suffix[..]);
+        let dirty = resumed.dirty.as_ref().expect("resumed");
+        for (i, (g, r)) in golden.iter().zip(&resumed.output).enumerate() {
+            if g.to_bits() != r.to_bits() {
+                assert!(
+                    dirty.contains(i),
+                    "element {i} differs outside the dirty region"
+                );
+            }
+        }
+    }
+
+    /// No tile of `Affine` loads the buffer the tiles write, so once the
+    /// victim tile has run nothing can reach a later tile: value strikes
+    /// (cache-blind) and L2 strikes whose flip a load observed both exit
+    /// right there and still match a full run.
+    #[test]
+    fn cone_exit_fires_when_no_tile_loads_what_the_tiles_write() {
+        let mut p = Affine::new(128);
+        let golden = Engine::new(DeviceConfig::kepler_k40())
+            .golden(&mut p)
+            .unwrap()
+            .output;
+        let fpu = StrikeTarget::Fpu {
+            mask: 1 << 63,
+            op_index: 3,
+        };
+        let sfu = StrikeTarget::Sfu {
+            scale: 2.0,
+            op_index: 0,
+        };
+        // Affine runs no transcendental op: the SFU fault is armed but
+        // changes nothing, and the run still exits.
+        let cases = [
+            (DeviceConfig::kepler_k40(), fpu, 5, true),
+            (DeviceConfig::kepler_k40(), sfu, 2, false),
+            (
+                DeviceConfig::xeon_phi_3120a(),
+                StrikeTarget::UnitGarble,
+                3,
+                true,
+            ),
+            (
+                DeviceConfig::xeon_phi_3120a(),
+                StrikeTarget::Scheduler(SchedulerEffect::GarbleTile),
+                9,
+                true,
+            ),
+        ];
+        for (cfg, target, at_tile, corrupts) in cases {
+            let s = StrikeSpec::new(at_tile, target);
+            let (full, resumed, exits) = full_and_resumed(&mut p, cfg, &s, 17);
+            assert_eq!(exits, 1, "{target:?}: one early exit");
+            assert_matches_full(&full, &resumed, &golden, at_tile);
+            assert_eq!(
+                bits(&full.0.output) != bits(&golden),
+                corrupts,
+                "{target:?} output corruption"
+            );
+        }
+    }
+
+    /// Two stages: tiles 0..4 write `stage` blocks, tiles 4..8 load the
+    /// block four positions back and write `out`, and tiles 8..12 write
+    /// the rest of `out` from the input alone. A fault in a stage-one
+    /// tile reaches `out` only through its stage-two reader.
+    #[derive(Debug)]
+    struct Relay {
+        input: Vec<f64>,
+        bufs: Option<(BufferId, BufferId, BufferId)>,
+    }
+
+    impl Relay {
+        const BLOCK: usize = 8;
+
+        fn new() -> Self {
+            Relay {
+                input: (0..8 * Self::BLOCK).map(|i| (i + 1) as f64).collect(),
+                bufs: None,
+            }
+        }
+    }
+
+    impl TiledProgram for Relay {
+        fn name(&self) -> &str {
+            "relay"
+        }
+
+        fn tile_count(&self) -> usize {
+            12
+        }
+
+        fn threads_per_tile(&self) -> usize {
+            Self::BLOCK
+        }
+
+        fn setup(&mut self, mem: &mut DeviceMemory) -> Result<(), AccelError> {
+            let input = mem.alloc_init("in", &self.input);
+            let stage = mem.alloc("stage", 4 * Self::BLOCK);
+            let out = mem.alloc("out", 8 * Self::BLOCK);
+            self.bufs = Some((input, stage, out));
+            Ok(())
+        }
+
+        fn execute_tile(&mut self, tile: TileId, ctx: &mut TileCtx<'_>) -> Result<(), AccelError> {
+            let (input, stage, out) = self.bufs.expect("setup ran");
+            let t = tile.index();
+            let mut x = [0.0; Self::BLOCK];
+            let (src, src_at, dst, dst_at) = match t {
+                0..=3 => (input, t, stage, t),
+                4..=7 => (stage, t - 4, out, t - 4),
+                _ => (input, t - 4, out, t - 4),
+            };
+            ctx.load(src, src_at * Self::BLOCK, &mut x)?;
+            for v in &mut x {
+                *v = ctx.fma(2.0, *v, 1.0);
+            }
+            ctx.store(dst, dst_at * Self::BLOCK, &x)
+        }
+
+        fn output(&self) -> BufferId {
+            self.bufs.expect("setup ran").2
+        }
+
+        fn output_shape(&self) -> OutputShape {
+            OutputShape::d1(8 * Self::BLOCK)
+        }
+    }
+
+    /// A faulted stage-one tile's block is loaded by its stage-two
+    /// reader at position 4..8, so the run must not stop before that
+    /// reader: the corruption has to reach `out`, exactly as in a full
+    /// run. Past the last reader (position 7) the cone is closed and the
+    /// run exits before its last tile.
+    #[test]
+    fn cone_exit_waits_for_the_last_reader_of_a_corrupted_buffer() {
+        let mut p = Relay::new();
+        let golden = Engine::new(DeviceConfig::kepler_k40())
+            .golden(&mut p)
+            .unwrap()
+            .output;
+        for at_tile in 0..4 {
+            let s = StrikeSpec::new(
+                at_tile,
+                StrikeTarget::Fpu {
+                    mask: 1 << 63,
+                    op_index: 1,
+                },
+            );
+            let (full, resumed, exits) =
+                full_and_resumed(&mut p, DeviceConfig::kepler_k40(), &s, 5);
+            assert_matches_full(&full, &resumed, &golden, at_tile);
+            let reader_block = at_tile * Relay::BLOCK..(at_tile + 1) * Relay::BLOCK;
+            assert_ne!(
+                bits(&full.0.output[reader_block.clone()]),
+                bits(&golden[reader_block]),
+                "stage tile {at_tile}'s corruption reaches out through its reader"
+            );
+            assert_eq!(exits, 1, "exit after the last stage reader");
+        }
     }
 
     #[test]

@@ -159,6 +159,35 @@ pub(crate) struct MachineCounters {
     pub stores: u64,
 }
 
+/// A set of device buffers, one bit per allocation index. Indices from
+/// 63 on share the top bit, so the set over-approximates them as one
+/// buffer: still sound for the engine's cone exit, and exact for every
+/// kernel here (none allocates more than six buffers).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BufferSet(u64);
+
+impl BufferSet {
+    /// The number of distinct slots a set can hold.
+    const SLOTS: usize = 64;
+
+    #[inline(always)]
+    pub(crate) fn insert(&mut self, buf: BufferId) {
+        self.0 |= 1 << buf.index().min(Self::SLOTS - 1);
+    }
+
+    /// Adds every buffer of `other`; returns whether the set grew.
+    pub(crate) fn extend(&mut self, other: BufferSet) -> bool {
+        let grew = other.0 & !self.0 != 0;
+        self.0 |= other.0;
+        grew
+    }
+
+    /// The occupied slots in ascending order.
+    pub(crate) fn slots(self) -> impl Iterator<Item = usize> {
+        (0..Self::SLOTS).filter(move |&i| self.0 >> i & 1 == 1)
+    }
+}
+
 /// Records element spans written to one watched buffer — program stores
 /// plus corrupted write-backs — so differential runs know the candidate
 /// dirty region of the output without scanning it.
@@ -203,9 +232,12 @@ pub struct TileCtx<'a> {
     pub(crate) stores: u64,
     pub(crate) store_ops: u64,
     pub(crate) last_store: f64,
-    pub(crate) last_op: f64,
     pub(crate) garble_anchor: Option<f64>,
     pub(crate) garble_state: u64,
+    // The buffers this tile loaded from, and those it stored to or that
+    // a corrupted write-back flipped while it ran.
+    pub(crate) loaded: BufferSet,
+    pub(crate) stored: BufferSet,
     // Whether this tile's per-element memory phases are profiled:
     // decided once per tile (see `TILE_SAMPLE_STRIDE`) so the per-row
     // load/store scopes cost one register test on unprofiled tiles.
@@ -234,9 +266,10 @@ impl<'a> TileCtx<'a> {
             stores: 0,
             store_ops: 0,
             last_store: 0.0,
-            last_op: 0.0,
             garble_anchor: None,
             garble_state: 0x9E37_79B9_7F4A_7C15,
+            loaded: BufferSet::default(),
+            stored: BufferSet::default(),
             prof: tile_sample(),
         }
     }
@@ -300,7 +333,6 @@ impl<'a> TileCtx<'a> {
             // still hit the right data).
             return if x & 0xF == 0 { value } else { anchor * wobble };
         }
-        self.last_op = value;
         if idx >= self.fault.logic_at && idx < self.fault.logic_at + self.fault.logic_lanes {
             return f64::from_bits(value.to_bits() ^ self.fault.logic_mask);
         }
@@ -329,17 +361,19 @@ impl<'a> TileCtx<'a> {
     /// `mul_add` loop: inlined into a multiversioned tile body (see the
     /// kernels' `execute_tile` AVX2 wrappers) it vectorizes to fused
     /// hardware FMAs, while the portable fallback rounds identically.
+    /// A faulted tile keeps the fast path for rows its fault cannot
+    /// reach (see `TileCtx::faults_next_ops`).
     ///
     /// [`fma`]: TileCtx::fma
     #[inline(always)]
     pub fn fma_row(&mut self, a: f64, row: &[f64], acc: &mut [f64]) {
-        if self.fault_armed {
+        let lanes = acc.len().min(row.len());
+        if self.fault_armed && self.faults_next_ops(lanes as u64) {
             for (slot, &b) in acc.iter_mut().zip(row) {
                 *slot = self.fma(a, b, *slot);
             }
             return;
         }
-        let lanes = acc.len().min(row.len());
         for (slot, &b) in acc.iter_mut().zip(row) {
             *slot = a.mul_add(b, *slot);
         }
@@ -357,7 +391,8 @@ impl<'a> TileCtx<'a> {
     /// vector registers instead of re-loading `acc` once per `k` — the
     /// difference between a memory-bound and an FMA-bound inner kernel.
     /// Per-element accumulation order over `k` is unchanged, so results
-    /// are bit-identical to the reference loop.
+    /// are bit-identical to the reference loop. A faulted tile takes the
+    /// per-op path only for blocks its fault can reach.
     #[inline(always)]
     pub fn fma_block<const N: usize>(
         &mut self,
@@ -365,7 +400,7 @@ impl<'a> TileCtx<'a> {
         b: &[[f64; N]; N],
         acc: &mut [[f64; N]; N],
     ) {
-        if self.fault_armed {
+        if self.fault_armed && self.faults_next_ops((N * N * N) as u64) {
             // Exact reference order (r, k, c): op indices match the
             // row-by-row formulation element for element.
             for r in 0..N {
@@ -407,6 +442,18 @@ impl<'a> TileCtx<'a> {
             acc[r] = acc0;
         }
         self.ops += (N * N * N) as u64;
+    }
+
+    /// Whether the armed fault can corrupt any of the next `n`
+    /// arithmetic ops: a garbled tile corrupts every op, a logic fault
+    /// only the ops in `[logic_at, logic_at + logic_lanes)`. An SFU or
+    /// store fault never changes an arithmetic result.
+    #[inline(always)]
+    fn faults_next_ops(&self, n: u64) -> bool {
+        let f = &self.fault;
+        f.garble
+            || (f.logic_at < self.ops.saturating_add(n)
+                && self.ops < f.logic_at.saturating_add(f.logic_lanes))
     }
 
     /// Addition routed through the op counter.
@@ -505,6 +552,7 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemLoad);
         self.loads += dst.len() as u64;
+        self.loaded.insert(buf);
         let base = {
             let (base, window) = self.mem.window(buf, start, dst.len())?;
             E::copy_f64(window, dst);
@@ -523,7 +571,11 @@ impl<'a> TileCtx<'a> {
             // proven golden-equivalent.
             self.caches.corruption_touched = true;
         }
-        apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+        self.stored.extend(apply_writebacks(
+            self.mem,
+            &wbs,
+            self.store_log.as_deref_mut(),
+        ));
         // Slow path only for elements on struck lines.
         if self.caches.has_pending_corruption() {
             let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
@@ -610,6 +662,7 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemLoad);
         self.loads += dst.len() as u64;
+        self.loaded.insert(buf);
         let rows = dst.len() / width;
         // Fast path: while no flip is pending anywhere, no row can
         // observe corruption and no eviction can write one back — cache
@@ -667,7 +720,11 @@ impl<'a> TileCtx<'a> {
                 // Corruption reached DRAM mid-run; the run can no
                 // longer be proven golden-equivalent.
                 self.caches.corruption_touched = true;
-                apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+                self.stored.extend(apply_writebacks(
+                    self.mem,
+                    &wbs,
+                    self.store_log.as_deref_mut(),
+                ));
                 wbs.clear();
             }
             if self.caches.has_pending_corruption() {
@@ -747,6 +804,7 @@ impl<'a> TileCtx<'a> {
     ) -> Result<(), AccelError> {
         let _scope = phase_if(self.prof, PhaseId::MemStore);
         self.stores += src.len() as u64;
+        self.stored.insert(buf);
         let fault_stores = self.fault.store_at != u64::MAX;
         let base = {
             let (base, window) = self.mem.window_mut(buf, start, src.len())?;
@@ -786,7 +844,11 @@ impl<'a> TileCtx<'a> {
         if !wbs.is_empty() {
             self.caches.corruption_touched = true;
         }
-        apply_writebacks(self.mem, &wbs, self.store_log.as_deref_mut());
+        self.stored.extend(apply_writebacks(
+            self.mem,
+            &wbs,
+            self.store_log.as_deref_mut(),
+        ));
         // A program store supersedes pending corruption of the element.
         if self.caches.has_pending_corruption() {
             let _scope = phase_if(self.prof, PhaseId::CorruptionScan);
@@ -821,21 +883,25 @@ impl<'a> TileCtx<'a> {
 
 /// Applies corrupted write-backs (evicted dirty corrupted lines) to
 /// backing memory, recording touched elements of a watched buffer.
+/// Returns the buffers the write-backs flipped.
 pub(crate) fn apply_writebacks(
     mem: &mut DeviceMemory,
     wbs: &[crate::cache::WriteBack],
     mut log: Option<&mut StoreLog>,
-) {
+) -> BufferSet {
+    let mut flipped = BufferSet::default();
     for wb in wbs {
         if let Some(addr) = mem.elem_at_byte(wb.byte_addr) {
             // Ignore failures: a write-back beyond any buffer means the
             // strike corrupted padding bytes, which no element observes.
             let _ = mem.flip_bits(addr.buffer, addr.index, wb.mask);
+            flipped.insert(addr.buffer);
             if let Some(l) = log.as_deref_mut() {
                 l.record(addr.buffer, addr.index, 1);
             }
         }
     }
+    flipped
 }
 
 #[cfg(test)]
@@ -1124,5 +1190,90 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A faulted tile takes the vector path for every block and row its
+    /// fault cannot reach. Three `fma_block` calls, and 48 `fma_row`
+    /// calls over the same 192 ops, must match the per-op reference loop
+    /// in every bit and in `ops` with the logic window before, inside,
+    /// straddling and after a call's op range, and with SFU- or
+    /// store-only faults, which never change an arithmetic result.
+    #[test]
+    fn faulted_tiles_match_the_reference_loop_around_the_window() {
+        const N: usize = 4;
+        const BLOCKS: usize = 3;
+        let block = (N * N * N) as u64;
+        let mut a = [[0.0; N]; N];
+        let mut b = [[0.0; N]; N];
+        for r in 0..N {
+            for c in 0..N {
+                a[r][c] = (r * N + c) as f64 * 0.375 - 2.5;
+                b[r][c] = 1.0 / ((r * c) as f64 + 1.5);
+            }
+        }
+        let window = |at: u64, lanes: u64| {
+            let mut f = TileFault::none();
+            f.logic_at = at;
+            f.logic_lanes = lanes;
+            f.logic_mask = 1 << 62;
+            f
+        };
+        let mut sfu_only = TileFault::none();
+        sfu_only.sfu_at = 0;
+        sfu_only.sfu_scale = 8.0;
+        let mut store_only = TileFault::none();
+        store_only.store_at = 0;
+        store_only.store_len = 2;
+        let faults = [
+            window(0, 2),                      // inside the first call
+            window(block - 1, 3),              // straddling calls 0 and 1
+            window(block + 17, 1),             // after call 0, before call 2
+            window(3 * block - 1, 1),          // the very last op
+            window(BLOCKS as u64 * block, 64), // after every call
+            sfu_only,
+            store_only,
+        ];
+        let run = |fault: TileFault, how: usize| {
+            let (mut mem, mut caches) = machine();
+            let mut ctx = TileCtx::new(&mut mem, &mut caches, 0, fault);
+            let mut blocks = [[[0.5; N]; N]; BLOCKS];
+            for acc in &mut blocks {
+                match how {
+                    0 => {
+                        for r in 0..N {
+                            for k in 0..N {
+                                for c in 0..N {
+                                    acc[r][c] = ctx.fma(a[r][k], b[k][c], acc[r][c]);
+                                }
+                            }
+                        }
+                    }
+                    1 => ctx.fma_block(&a, &b, acc),
+                    _ => {
+                        for r in 0..N {
+                            for k in 0..N {
+                                ctx.fma_row(a[r][k], &b[k], &mut acc[r]);
+                            }
+                        }
+                    }
+                }
+            }
+            let bits: Vec<u64> = blocks
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect();
+            (bits, ctx.ops)
+        };
+        for fault in faults {
+            let reference = run(fault, 0);
+            assert_eq!(reference.1, BLOCKS as u64 * block);
+            assert_eq!(run(fault, 1), reference, "fma_block, {fault:?}");
+            assert_eq!(run(fault, 2), reference, "fma_row, {fault:?}");
+        }
+        let clean = run(TileFault::none(), 0);
+        assert_ne!(run(window(block - 1, 3), 0), clean, "the window corrupts");
+        assert_eq!(run(sfu_only, 0), clean, "an SFU fault changes no fma");
     }
 }

@@ -173,6 +173,16 @@ impl DispatchPlan {
             && self.wave_of(pos) == self.wave_of(struck_pos)
             && self.unit_of(pos) == self.unit_of(struck_pos)
     }
+
+    /// The last dispatch position a unit garble struck at `struck_pos`
+    /// reaches (see [`DispatchPlan::unit_garble_applies`]); no position
+    /// after it is garbled.
+    pub fn unit_garble_last(&self, struck_pos: usize) -> usize {
+        self.pending_in_wave(struck_pos)
+            .rev()
+            .find(|&p| self.unit_garble_applies(struck_pos, p))
+            .unwrap_or(struck_pos)
+    }
 }
 
 /// Relative amounts of exposed (irradiated) state per structure class for
@@ -384,6 +394,25 @@ mod tests {
             .filter(|&p| plan.unit_garble_applies(struck, p))
             .collect();
         assert_eq!(garbled, vec![2], "one block per SM per wave on the K40");
+    }
+
+    /// `unit_garble_last` is the greatest position `unit_garble_applies`
+    /// admits, for wave and chunk plans, across launch boundaries.
+    #[test]
+    fn unit_garble_last_is_the_last_garbled_position() {
+        let plans = [
+            DispatchPlan::new(&DeviceConfig::kepler_k40(), 100, 100, 256, 0),
+            DispatchPlan::new(&DeviceConfig::xeon_phi_3120a(), 570, 570, 4, 0),
+            DispatchPlan::new(&DeviceConfig::xeon_phi_3120a(), 456, 114, 4, 0),
+        ];
+        for plan in plans {
+            for struck in 0..plan.tiles() {
+                let last = (0..plan.tiles())
+                    .filter(|&p| plan.unit_garble_applies(struck, p))
+                    .max();
+                assert_eq!(Some(plan.unit_garble_last(struck)), last, "{struck}");
+            }
+        }
     }
 
     #[test]

@@ -10,18 +10,21 @@
 //! `Engine::run_injection`.
 //!
 //! The set also keeps a `GoldenTable` of the golden run's per-tile
-//! cache and traffic counters. A resumed run whose strike cannot
-//! perturb the cache hierarchy reports those counters instead of
-//! simulating the hierarchy at all (a *cache-blind* run).
+//! cache and traffic counters, the last dispatch position that loads
+//! each buffer, and the golden output image. A resumed run whose strike
+//! cannot perturb the cache hierarchy reports those counters instead of
+//! simulating the hierarchy at all (a *cache-blind* run), and a resumed
+//! run whose corruption no remaining tile can load stops there and
+//! takes the rest of its outcome from them (the engine's cone exit).
 //!
 //! Snapshots are byte-bounded: a [`SnapshotPolicy`] caps the whole set,
 //! and capture points that would exceed the budget are skipped (and
 //! counted), never silently truncating correctness — a strike landing
 //! before the first usable snapshot simply falls back to a full run.
 
-use crate::cache::{CacheHierarchy, CacheStats};
+use crate::cache::{CacheStats, FrozenCaches};
 use crate::memory::BufferId;
-use crate::program::MachineCounters;
+use crate::program::{BufferSet, MachineCounters};
 
 /// Default byte budget for one program's snapshot set. Kept below the
 /// golden cache's default budget (64 MiB) so snapshot-carrying entries
@@ -61,12 +64,14 @@ impl SnapshotPolicy {
 /// only buffers written since setup (a golden run mutates memory solely
 /// through program stores — there are no corrupted write-backs). The
 /// engine rebuilds the full image as template ∪ delta on resume, so
-/// read-only inputs are never duplicated per snapshot.
+/// read-only inputs are never duplicated per snapshot. The cache
+/// hierarchy is kept frozen: only resident lines, with caches no tile
+/// touched since the previous snapshot shared with it.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineSnapshot {
     pub(crate) at_tile: usize,
     pub(crate) mem_delta: Vec<(BufferId, Vec<f64>)>,
-    pub(crate) caches: CacheHierarchy,
+    pub(crate) caches: FrozenCaches,
     pub(crate) counters: MachineCounters,
     pub(crate) l2_resident_samples: f64,
 }
@@ -80,6 +85,8 @@ pub(crate) struct GoldenTile {
     /// The running sum of per-tile L2 residency samples, accumulated in
     /// the same order as a full run so it is bit-equal to one.
     pub(crate) l2_resident_samples: f64,
+    pub(crate) ops: u64,
+    pub(crate) trans_ops: u64,
     pub(crate) loads: u64,
     pub(crate) stores: u64,
 }
@@ -88,16 +95,51 @@ pub(crate) struct GoldenTile {
 /// the golden run's cumulative counters per tile plus its end-of-run
 /// cache statistics. A run whose tiles execute the golden sequence
 /// with no flip pending touches exactly the golden addresses, so its
-/// hierarchy would count exactly these numbers.
+/// hierarchy would count exactly these numbers. A run that exits early
+/// takes its suffix's counters from the same table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GoldenTable {
     /// One entry per dispatch position, in order.
     pub(crate) tiles: Vec<GoldenTile>,
     /// Cache statistics after the final flush.
     pub(crate) end: CacheStats,
+    /// Per [`BufferSet`] slot, the last dispatch position whose tile
+    /// loads from that buffer (`None`: no tile loads it).
+    pub(crate) last_load: Vec<Option<usize>>,
 }
 
 impl GoldenTable {
+    /// Records that the tile at dispatch position `pos` loaded from
+    /// `bufs`; positions arrive in ascending order.
+    pub(crate) fn note_loads(&mut self, pos: usize, bufs: BufferSet) {
+        for slot in bufs.slots() {
+            if self.last_load.len() <= slot {
+                self.last_load.resize(slot + 1, None);
+            }
+            self.last_load[slot] = Some(pos);
+        }
+    }
+
+    /// The last dispatch position whose tile loads from any buffer of
+    /// `bufs` (`None`: no tile loads any of them).
+    pub(crate) fn last_load_of(&self, bufs: BufferSet) -> Option<usize> {
+        bufs.slots()
+            .filter_map(|slot| self.last_load.get(slot).copied().flatten())
+            .max()
+    }
+
+    /// The golden counters of positions `pos + 1..`, as the difference
+    /// of the cumulative entries.
+    pub(crate) fn counters_after(&self, pos: usize) -> MachineCounters {
+        let (at, end) = (&self.tiles[pos], self.tiles.last().expect("pos is a tile"));
+        MachineCounters {
+            ops: end.ops - at.ops,
+            trans_ops: end.trans_ops - at.trans_ops,
+            loads: end.loads - at.loads,
+            stores: end.stores - at.stores,
+        }
+    }
+
     /// The cumulative L2 `(hits, misses)` over positions `0..pos`
     /// (zero for `pos == 0`).
     pub(crate) fn l2_before(&self, pos: usize) -> (u64, u64) {
@@ -108,7 +150,8 @@ impl GoldenTable {
 
 /// A byte-bounded set of golden-prefix snapshots plus the golden run's
 /// per-tile output-store spans (needed to bound the dirty output region
-/// of a resumed faulty run) and its per-tile counters (a `GoldenTable`).
+/// of a resumed faulty run), its per-tile counters (a `GoldenTable`) and
+/// its final output.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotSet {
     pub(crate) snaps: Vec<EngineSnapshot>,
@@ -116,6 +159,8 @@ pub struct SnapshotSet {
     /// element spans, ascending by tile.
     pub(crate) output_spans: Vec<(u32, u32, u32)>,
     pub(crate) golden: GoldenTable,
+    /// The golden run's output after the final flush.
+    pub(crate) golden_output: Vec<f64>,
     pub(crate) bytes: usize,
     pub(crate) skipped_tiles: u64,
 }
@@ -140,6 +185,8 @@ impl SnapshotSet {
         self.bytes
             + self.output_spans.len() * 12
             + self.golden.tiles.len() * std::mem::size_of::<GoldenTile>()
+            + self.golden.last_load.len() * std::mem::size_of::<Option<usize>>()
+            + self.golden_output.len() * 8
     }
 
     /// Capture points skipped because they would have exceeded the byte
@@ -174,6 +221,16 @@ impl SnapshotSet {
             .map(|&(_, s, l)| (s as usize, l as usize))
     }
 
+    /// Overwrites `output` with the golden output on the output-store
+    /// spans of positions `>= tile`. A run whose tiles from `tile` on
+    /// would only redo golden work ends with exactly these values there:
+    /// each element takes its last golden writer's value.
+    pub(crate) fn fill_golden_suffix(&self, output: &mut [f64], tile: usize) {
+        for (s, l) in self.golden_spans_from(tile) {
+            output[s..s + l].copy_from_slice(&self.golden_output[s..s + l]);
+        }
+    }
+
     pub(crate) fn push(&mut self, snap: EngineSnapshot, budget: usize) -> bool {
         let delta_bytes: usize = snap.mem_delta.iter().map(|(_, d)| d.len() * 8).sum();
         let cost = delta_bytes + snap.caches.approx_heap_bytes() + SNAPSHOT_OVERHEAD_BYTES;
@@ -195,7 +252,8 @@ mod tests {
         EngineSnapshot {
             at_tile,
             mem_delta: Vec::new(),
-            caches: CacheHierarchy::new(&crate::config::DeviceConfig::kepler_k40()),
+            caches: crate::cache::CacheHierarchy::new(&crate::config::DeviceConfig::kepler_k40())
+                .freeze(None),
             counters: MachineCounters::default(),
             l2_resident_samples: 0.0,
         }
@@ -281,6 +339,81 @@ mod tests {
         assert_eq!(at(2), Some(2));
         assert_eq!(at(9), Some(8));
         assert_eq!(at(100), Some(16));
+    }
+
+    #[test]
+    fn cost_bytes_charges_the_golden_output_and_last_loads() {
+        let mut set = SnapshotSet::default();
+        assert!(set.push(snap(0), usize::MAX));
+        let without = set.cost_bytes();
+        set.golden_output = vec![0.0; 100];
+        set.golden.note_loads(3, BufferSet::default());
+        assert_eq!(
+            set.cost_bytes(),
+            without + 800,
+            "empty load sets add no slot"
+        );
+        let mut loaded = BufferSet::default();
+        loaded.insert(BufferId(2));
+        set.golden.note_loads(3, loaded);
+        assert_eq!(
+            set.cost_bytes(),
+            without + 800 + 3 * std::mem::size_of::<Option<usize>>()
+        );
+    }
+
+    #[test]
+    fn last_load_of_is_the_latest_reader_of_any_member() {
+        let set_of = |ids: &[usize]| {
+            let mut s = BufferSet::default();
+            for &i in ids {
+                s.insert(BufferId(i));
+            }
+            s
+        };
+        let mut g = GoldenTable::default();
+        g.note_loads(0, set_of(&[0, 1]));
+        g.note_loads(1, set_of(&[0]));
+        g.note_loads(4, set_of(&[1, 70]));
+        assert_eq!(g.last_load_of(set_of(&[0])), Some(1));
+        assert_eq!(g.last_load_of(set_of(&[0, 1])), Some(4));
+        assert_eq!(g.last_load_of(set_of(&[2])), None, "never loaded");
+        assert_eq!(g.last_load_of(BufferSet::default()), None);
+        // Indices past 62 share the top slot: conservatively the same.
+        assert_eq!(g.last_load_of(set_of(&[99])), Some(4));
+    }
+
+    #[test]
+    fn counters_after_are_the_suffix_differences() {
+        let tile = |n: u64| GoldenTile {
+            ops: 10 * n,
+            trans_ops: n,
+            loads: 4 * n,
+            stores: 2 * n,
+            ..GoldenTile::default()
+        };
+        let g = GoldenTable {
+            tiles: (1..=5).map(tile).collect(),
+            ..GoldenTable::default()
+        };
+        let rest = g.counters_after(1);
+        assert_eq!(
+            (rest.ops, rest.trans_ops, rest.loads, rest.stores),
+            (30, 3, 12, 6)
+        );
+        assert_eq!(g.counters_after(4).ops, 0, "no suffix after the last tile");
+    }
+
+    #[test]
+    fn golden_suffix_fill_covers_only_later_tiles_spans() {
+        let set = SnapshotSet {
+            output_spans: vec![(0, 0, 2), (2, 4, 2), (3, 2, 3)],
+            golden_output: (0..8).map(f64::from).collect(),
+            ..SnapshotSet::default()
+        };
+        let mut out = vec![-1.0; 8];
+        set.fill_golden_suffix(&mut out, 2);
+        assert_eq!(out, vec![-1.0, -1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -1.0]);
     }
 
     #[test]

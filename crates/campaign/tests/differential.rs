@@ -279,6 +279,71 @@ proptest! {
             compare_slices_sparse(&golden.output, &diff.output, shape, dirty).expect("sparse");
         prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
     }
+
+    /// The same invariant on LavaMD/Phi, where no tile loads the force
+    /// buffer the tiles write, so most resumed runs end at the cone exit
+    /// and finish from the golden record: every strike target, random
+    /// strike tiles and seeds, traced and untraced. Output bits,
+    /// profile, resolutions, the trace from the resume point on, and the
+    /// sparse compare over the dirty region all equal the full run's.
+    #[test]
+    fn resumed_lavamd_phi_runs_are_bit_identical(
+        at_tile in 0usize..27,
+        seed in 0u64..1 << 32,
+        target_idx in 0usize..11,
+        traced in any::<bool>(),
+    ) {
+        let engine = Engine::new(DeviceConfig::xeon_phi_3120a());
+        let mut kernel = KernelSpec::LavaMd { grid: 3, particles: 4 }
+            .build(seed)
+            .expect("kernel builds");
+        prop_assert_eq!(kernel.tile_count(), 27);
+        let stride = 2;
+        let (golden, snaps) = engine
+            .golden_snapshotted(kernel.as_mut(), &SnapshotPolicy { stride, max_bytes: 0 })
+            .expect("golden run");
+        let strike = StrikeSpec::new(at_tile, all_targets()[target_idx]);
+        let run = |kernel: &mut dyn radcrit_kernels::Workload, snaps| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scratch = RunScratch::new();
+            if traced {
+                let (out, trace) = engine
+                    .run_injection_traced(kernel, &strike, &mut rng, snaps, &mut scratch)
+                    .expect("traced run");
+                (out, Some(trace))
+            } else {
+                let out = engine
+                    .run_injection(kernel, &strike, &mut rng, snaps, &mut scratch)
+                    .expect("run");
+                (out, None)
+            }
+        };
+        let (full, full_trace) = run(kernel.as_mut(), None);
+        let (diff, diff_trace) = run(kernel.as_mut(), Some(&snaps));
+        prop_assert_eq!(bits(&full.output), bits(&diff.output));
+        prop_assert_eq!(full.profile, diff.profile);
+        prop_assert_eq!(&full.resolutions, &diff.resolutions);
+        prop_assert_eq!(full.golden_equivalent, diff.golden_equivalent);
+        if let (Some(full_trace), Some(diff_trace)) = (full_trace, diff_trace) {
+            let resume_at = at_tile / stride * stride;
+            let suffix: Vec<_> = full_trace
+                .tiles()
+                .iter()
+                .filter(|tile| tile.pos >= resume_at)
+                .copied()
+                .collect();
+            prop_assert_eq!(diff_trace.tiles(), &suffix[..]);
+        }
+        let dirty = diff.dirty.as_ref().expect("resumed run has a dirty region");
+        let sparse = compare_with_logical_coords_sparse(
+            &golden.output,
+            &diff.output,
+            kernel.as_ref(),
+            dirty,
+        );
+        let dense = compare_with_logical_coords(&golden.output, &full.output, kernel.as_ref());
+        prop_assert_eq!(mismatch_bits(&sparse), mismatch_bits(&dense));
+    }
 }
 
 fn temp_path(tag: &str) -> PathBuf {

@@ -151,8 +151,9 @@ pub const METRIC_REFERENCE: &[MetricHelp] = &[
     MetricHelp {
         name: "radcrit_run_dead_strike_exits_total",
         kind: "counter",
-        help:
-            "Injection runs ended early because the strike's corruption died before reaching output.",
+        help: "Injection runs ended before their last tile: the strike died unobserved, or no \
+               remaining tile loads a buffer the corrupted run stored to (resumed runs then \
+               finish from the golden record).",
     },
     MetricHelp {
         name: "radcrit_serve_job_latency_us",

@@ -16,7 +16,7 @@
 //! * polls `GET /alerts` for the health-rules panel (firing rules in
 //!   red with their message, quiet rules collapsed to one line),
 //! * polls `GET /metrics` for the differential-execution row (snapshot
-//!   resumed runs, dead-strike early exits) and `GET /profile`
+//!   resumed runs, early exits) and `GET /profile`
 //!   for the daemon-wide hot-phases panel (top self-time phases of the
 //!   merged hierarchical profile),
 //! * stops cleanly when the stream sends its `end` frame and the fold
@@ -154,7 +154,7 @@ async function pollDaemon() {
     const resumed = m.radcrit_engine_resumed_runs_total || 0;
     const dead = m.radcrit_run_dead_strike_exits_total || 0;
     $("differential").textContent =
-      `${resumed} snapshot-resumed runs · ${dead} dead-strike early exits`;
+      `${resumed} snapshot-resumed runs · ${dead} early exits`;
   } catch (e) { /* daemon restarting */ }
   try {
     const a = await (await fetch("/alerts")).json();
